@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -18,6 +18,9 @@ using namespace pathload;
 int main() {
   bench::banner("Fig. 6", "pathload range vs non-tight link load (H = 3, 6)");
   const int runs = bench::runs(15);
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
   std::printf("(runs per point: %d)\n\n", runs);
 
   Table table{{"hops", "ux_%", "avail_Mbps", "pl_low_Mbps", "pl_high_Mbps", "center",
@@ -36,8 +39,9 @@ int main() {
           scenario::ScenarioSpec::from_paper(base.name, base.description, path);
 
       core::PathloadConfig tool;
-      const auto rr = scenario::run_scenario_repeated(
-          spec, tool, runs, bench::seed() + hops * 10000 + (ux * 100));
+      const auto rr = scenario::sweep_scenario_repeated(
+          spec, tool, runs, bench::seed() + hops * 10000 + (ux * 100),
+          runner);
       const Rate truth = spec.avail_bw();
       table.add_row({Table::num(hops, 0), Table::num(ux * 100, 0),
                      Table::num(truth.mbits_per_sec(), 1),

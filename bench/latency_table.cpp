@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -15,6 +15,9 @@ using namespace pathload;
 int main() {
   bench::banner("Latency", "measurement latency vs avail-bw and resolution");
   const int runs = bench::runs(5);
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
 
   Table table{{"capacity_Mbps", "avail_Mbps", "omega_Mbps", "latency_s", "fleets",
                "probe_MB"}};
@@ -38,8 +41,9 @@ int main() {
       tool.omega = Rate::mbps(omega);
       tool.chi = Rate::mbps(omega * 1.5);
 
-      const auto rr = scenario::run_scenario_repeated(
-          spec, tool, runs, bench::seed() + (pt.cap * 100 + omega * 10));
+      const auto rr = scenario::sweep_scenario_repeated(
+          spec, tool, runs, bench::seed() + (pt.cap * 100 + omega * 10),
+          runner);
       double mean_bytes = 0.0;
       for (const auto& r : rr.results) {
         mean_bytes += static_cast<double>(r.bytes_sent.byte_count());

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/btc.hpp"
 #include "baselines/estimators.hpp"
 #include "core/stream.hpp"
 #include "core/trend.hpp"
@@ -22,6 +23,7 @@
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
+#include "tcp/reno.hpp"
 #include "util/alias_sampler.hpp"
 #include "util/rng.hpp"
 
@@ -234,6 +236,27 @@ void BM_TcpScenarioSecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_TcpScenarioSecond)->Arg(0)->Arg(1);
+
+void BM_BulkTransferSecond(benchmark::State& state) {
+  // One simulated second of the greedy BTC connection on btc-path under
+  // engine v2 (the tcp-bulk-v2 perfbench workload's dominant cost), past
+  // slow start: cross traffic and the background flows are fluid, so the
+  // connection's data segments, ACKs and RTO re-arms are nearly all of
+  // the events.
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("btc-path");
+  spec.engine = scenario::EngineVersion::kV2;
+  scenario::ScenarioInstance inst{spec};
+  inst.start();
+  const baselines::BtcConfig btc;
+  tcp::TcpConnection conn{inst.simulator(), inst.path(), btc.tcp, btc.reverse_delay};
+  conn.sender().start();
+  inst.simulator().run_for(Duration::seconds(10));
+  for (auto _ : state) {
+    inst.simulator().run_for(Duration::seconds(1));
+  }
+  benchmark::DoNotOptimize(conn.sender().bytes_acked());
+}
+BENCHMARK(BM_BulkTransferSecond);
 
 void BM_CcDuelSecond(benchmark::State& state) {
   // One simulated second of the tcp-vs-probe-duel scenario under engine

@@ -58,6 +58,14 @@ std::uint64_t SimProbeChannel::probe_dups() const {
   return total;
 }
 
+std::uint64_t SimProbeChannel::link_drops_and_dups() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < path_.hop_count(); ++i) {
+    total += path_.link(i).drops() + path_.link(i).duplicates();
+  }
+  return total;
+}
+
 bool SimProbeChannel::path_impaired() const {
   for (std::size_t i = 0; i < path_.hop_count(); ++i) {
     if (path_.link(i).impaired()) return true;
@@ -225,11 +233,21 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
     // a per-flow drop, so the loop still terminates exactly. Cross-traffic
     // sources always have future events pending, so the guard against an
     // empty queue is purely defensive.
+    //
+    // The per-flow counts cost a map lookup per hop, so they are re-read
+    // only after some link's plain drop or duplicate total has moved.
     const auto target = static_cast<std::uint64_t>(spec.packet_count);
-    while (static_cast<std::uint64_t>(records_.size()) +
-               (probe_drops() - drops_before) <
-           target + (impaired ? probe_dups() - dups_before : 0)) {
+    std::uint64_t link_total = link_drops_and_dups();
+    std::uint64_t dropped = 0;
+    std::uint64_t dups = 0;
+    while (static_cast<std::uint64_t>(records_.size()) + dropped < target + dups) {
       if (!sim_.run_next()) break;
+      const std::uint64_t total = link_drops_and_dups();
+      if (total != link_total) {
+        link_total = total;
+        dropped = probe_drops() - drops_before;
+        if (impaired) dups = probe_dups() - dups_before;
+      }
     }
     send_timer_.cancel();  // defensive: only armed if the loop exited early
     spec_ = nullptr;

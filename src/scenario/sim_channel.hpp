@@ -65,6 +65,9 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
 
   std::uint64_t probe_drops() const;
   std::uint64_t probe_dups() const;
+  /// Every link's drop plus duplicate total: moves whenever a per-flow
+  /// count can have moved.
+  std::uint64_t link_drops_and_dups() const;
   bool path_impaired() const;
   bool path_all_fluid() const;
   void run_stream_batched(const core::StreamSpec& spec);

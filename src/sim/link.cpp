@@ -13,7 +13,8 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
       capacity_{capacity},
       prop_delay_{prop_delay},
       buffer_limit_{buffer_limit},
-      service_timer_{sim.make_timer([this] { finish_service(); })} {
+      service_timer_{sim.make_timer([this] { finish_service(); })},
+      deliveries_{sim} {
   if (capacity <= Rate::zero()) {
     throw std::invalid_argument{"Link capacity must be positive"};
   }
@@ -125,7 +126,7 @@ void Link::accept_fluid(const Packet& p) {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    sim_.schedule_in(delay, [h = downstream_, pkt = p] { h->handle(pkt); });
+    deliveries_.push(now + delay, downstream_, p);
   }
 }
 
@@ -157,7 +158,7 @@ void Link::finish_service() {
     if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
       delay += impair_.reorder * impair_rng_->uniform();
     }
-    sim_.schedule_in(delay, [h = downstream_, pkt = in_service_] { h->handle(pkt); });
+    deliveries_.push(sim_.now() + delay, downstream_, in_service_);
   }
   if (!queue_.empty()) {
     in_service_ = queue_.front();

@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "sim/delay_line.hpp"
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -151,6 +152,9 @@ class Link final : public PacketHandler {
   // End-of-serialization is one reusable timer re-armed per packet: the
   // per-packet drain event costs no closure construction and no allocation.
   Simulator::TimerHandle service_timer_;
+  // Propagation: forwarded packets ride this FIFO pipe to the downstream
+  // node, one scheduler key per link however many are in flight.
+  DelayLine deliveries_;
   bool busy_{false};
   DataSize queued_bytes_{};
 

@@ -9,7 +9,7 @@ namespace pathload::tcp {
 // --- TcpReceiver -----------------------------------------------------------
 
 TcpReceiver::TcpReceiver(sim::Simulator& sim, Duration reverse_delay)
-    : sim_{sim}, reverse_delay_{reverse_delay} {}
+    : sim_{sim}, reverse_delay_{reverse_delay}, acks_{sim} {}
 
 void TcpReceiver::handle(const sim::Packet& data) {
   mss_bytes_ = data.size_bytes;  // learn the segment wire size for stats
@@ -33,9 +33,7 @@ void TcpReceiver::handle(const sim::Packet& data) {
     ack.kind = sim::PacketKind::kTcpAck;
     ack.size_bytes = 40;
     ack.tcp_seq = rcv_next_;
-    sim_.schedule_in(reverse_delay_, [w = sender_alive_, s = sender_, ack] {
-      if (!w.expired()) s->handle(ack);
-    });
+    acks_.push(sim_.now() + reverse_delay_, sender_, ack);
   }
 }
 
@@ -52,7 +50,8 @@ TcpSender::TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
       flow_{sim.next_flow_id()},
       ops_{make_congestion_ops(cfg.cc, cfg)},
       sampler_{cfg.mss_bytes},
-      rto_{cfg.initial_rto} {}
+      rto_{cfg.initial_rto},
+      rto_timer_{sim.make_timer([this] { on_rto_timer(); })} {}
 
 TcpSender::~TcpSender() = default;
 
@@ -180,8 +179,19 @@ void TcpSender::enter_fast_recovery() {
   arm_rto();
 }
 
-void TcpSender::on_rto(std::uint64_t generation) {
-  if (generation != rto_generation_) return;  // stale timer
+void TcpSender::on_rto_timer() {
+  // The full key, not just the time: two arms in the same nanosecond
+  // differ only in their tickets, and the RTO belongs to the later one.
+  if (rto_timer_key_ != rto_deadline_) {
+    // A later arm pushed the deadline back: chase it.
+    rto_timer_key_ = rto_deadline_;
+    rto_timer_.schedule_at(rto_deadline_.at, rto_deadline_.ticket);
+    return;
+  }
+  on_rto();
+}
+
+void TcpSender::on_rto() {
   if (next_seq_ == highest_acked_) {
     // Nothing outstanding: let the timer lapse; the next transmission
     // re-arms it.
@@ -203,11 +213,14 @@ void TcpSender::on_rto(std::uint64_t generation) {
 }
 
 void TcpSender::arm_rto() {
-  const std::uint64_t gen = ++rto_generation_;
   timer_armed_ = true;
-  sim_.schedule_in(rto_, [w = std::weak_ptr<const bool>(alive_), this, gen] {
-    if (!w.expired()) on_rto(gen);
-  });
+  rto_deadline_ = {sim_.now() + rto_, sim_.reserve_fifo_tickets(1)};
+  // A shrinking RTO can move the deadline before the pending timer key;
+  // otherwise the timer stays put and re-arms lazily when it fires.
+  if (!rto_timer_.pending() || rto_deadline_ < rto_timer_key_) {
+    rto_timer_key_ = rto_deadline_;
+    rto_timer_.schedule_at(rto_deadline_.at, rto_deadline_.ticket);
+  }
 }
 
 void TcpSender::take_rtt_sample(Duration sample) {
@@ -240,7 +253,7 @@ TcpConnection::TcpConnection(sim::Simulator& sim, sim::Path& path, TcpConfig cfg
     : path_{path},
       receiver_{sim, reverse_delay},
       sender_{sim, path, cfg, segment} {
-  receiver_.connect(&sender_, sender_.alive_token());
+  receiver_.connect(&sender_);
   path_.segment_exit(sender_.segment()).register_flow(sender_.flow(), &receiver_);
 }
 

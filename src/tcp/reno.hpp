@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/delay_line.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/rate_sampler.hpp"
@@ -41,20 +42,15 @@ struct TcpConfig {
 /// Receiving endpoint: cumulative ACKs with out-of-order buffering. ACKs
 /// return to the sender over an uncongested fixed-delay reverse path,
 /// matching the paper's experiments where congestion was on the forward
-/// direction. Safe to tear down mid-flight: reverse-path deliveries hold a
-/// liveness token and expire if the sender is gone.
+/// direction. The reverse path is a DelayLine owned by the receiver: ACKs
+/// still in flight when it is destroyed are dropped (TcpConnection tears
+/// sender and receiver down together).
 class TcpReceiver final : public sim::PacketHandler {
  public:
   TcpReceiver(sim::Simulator& sim, Duration reverse_delay);
 
   /// The sender ACKs are delivered to (set once during connection wiring).
-  /// The liveness token guards the reverse-path delivery events: a
-  /// connection may be torn down while ACKs are still "in flight" in the
-  /// simulator, and those events must then expire silently.
-  void connect(sim::PacketHandler* sender, std::weak_ptr<const bool> sender_alive) {
-    sender_ = sender;
-    sender_alive_ = std::move(sender_alive);
-  }
+  void connect(sim::PacketHandler* sender) { sender_ = sender; }
 
   void handle(const sim::Packet& data) override;
 
@@ -66,7 +62,7 @@ class TcpReceiver final : public sim::PacketHandler {
   sim::Simulator& sim_;
   Duration reverse_delay_;
   sim::PacketHandler* sender_{nullptr};
-  std::weak_ptr<const bool> sender_alive_;
+  sim::DelayLine acks_;
   std::uint64_t rcv_next_{0};
   std::set<std::uint64_t> out_of_order_;
   DataSize bytes_received_{};
@@ -125,9 +121,8 @@ class TcpSender final : public sim::PacketHandler {
   /// Average goodput of the whole connection so far.
   Rate average_throughput() const;
 
-  /// Liveness token for events that reference this sender (RTO timers,
-  /// reverse-path ACK deliveries). Expires when the sender is destroyed.
-  std::weak_ptr<const bool> alive_token() const { return alive_; }
+  TcpSender(const TcpSender&) = delete;  // the RTO timer holds `this`
+  TcpSender& operator=(const TcpSender&) = delete;
 
  private:
   void try_send();
@@ -135,7 +130,8 @@ class TcpSender final : public sim::PacketHandler {
   void on_new_ack(std::uint64_t cum_ack);
   void on_dup_ack();
   void enter_fast_recovery();
-  void on_rto(std::uint64_t generation);
+  void on_rto_timer();
+  void on_rto();
   void arm_rto();
   void take_rtt_sample(Duration sample);
   double effective_window() const;
@@ -159,12 +155,24 @@ class TcpSender final : public sim::PacketHandler {
   bool in_recovery_{false};
   std::uint64_t recover_point_{0};
 
-  // RTO machinery.
+  // RTO machinery. Arming only records the deadline key: the time plus
+  // the FIFO ticket a closure scheduled at that moment would have held. One
+  // reusable timer chases it — armed at the earliest deadline recorded
+  // since it last fired, and re-armed at the current deadline when it
+  // fires early — so each sender keeps at most one pending scheduler key
+  // and the RTO fires at exactly the key of the latest arm.
+  struct RtoKey {
+    TimePoint at{};
+    std::uint64_t ticket{0};
+    auto operator<=>(const RtoKey&) const = default;  // (time, ticket) order
+  };
   Duration srtt_{Duration::zero()};
   Duration rttvar_{Duration::zero()};
   Duration rto_;
-  std::uint64_t rto_generation_{0};
-  bool timer_armed_{false};
+  bool timer_armed_{false};  ///< a deadline is recorded and not yet expired
+  RtoKey rto_deadline_{};
+  RtoKey rto_timer_key_{};   ///< where rto_timer_ is armed, while pending
+  sim::Simulator::TimerHandle rto_timer_;
   std::optional<std::uint64_t> timed_seq_{};  ///< Karn: one clean sample at a time
   TimePoint timed_sent_{};
 
@@ -173,9 +181,6 @@ class TcpSender final : public sim::PacketHandler {
   std::uint64_t fast_retransmits_{0};
   std::uint64_t timeouts_{0};
   std::vector<double> rtt_samples_;
-
-  // Destroyed with the sender; scheduled events hold weak copies.
-  std::shared_ptr<const bool> alive_{std::make_shared<const bool>(true)};
 };
 
 /// A fully wired TCP connection over a simulated path: sender at the

@@ -63,7 +63,7 @@ void SegmentTcpFlow::end_connection() {
   if (conn_ == nullptr) return;
   completed_bytes_ += conn_->sender().bytes_acked();
   completed_timeouts_ += conn_->sender().timeouts();
-  conn_.reset();  // unregisters the demux entry; in-flight ACKs expire
+  conn_.reset();  // unregisters the demux entry; in-flight ACKs are dropped
 }
 
 DataSize SegmentTcpFlow::bytes_acked() const {

@@ -42,9 +42,13 @@ class Rng {
   }
 
   /// Exponential with the given mean (Poisson process interarrivals).
-  double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(engine_);
-  }
+  ///
+  /// Bit-identical to `std::exponential_distribution<double>{1.0 / mean}`
+  /// on libstdc++, which computes -log(1 - U) / lambda over the same
+  /// generate_canonical draw that uniform() reproduces; calling the
+  /// expression directly skips the distribution object on v1's per-packet
+  /// cross-traffic path.
+  double exponential(double mean) { return -std::log(1.0 - uniform()) / (1.0 / mean); }
 
   /// Pareto with shape `alpha` and the given mean (requires alpha > 1).
   ///

@@ -90,19 +90,24 @@ TEST(FluidPath, Proposition2ExitRateDependsOnNonTightLinks) {
 
 // --- Proposition 1 property sweep -------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// carries no compiler padding: the zeroed tail keeps the test names identical
+// across builds instead of exposing whatever the padding bytes held.
 struct Prop1Case {
   double offered_mbps;
   bool expect_increasing;
+  char zero_tail[7] = {};
 };
+static_assert(sizeof(Prop1Case) == 16);
 
 class Proposition1Test : public ::testing::TestWithParam<Prop1Case> {};
 
 TEST_P(Proposition1Test, OwdTrendMatchesRateVsAvailBw) {
   const auto path = paper_default_path();  // A = 4 Mb/s
-  const auto [offered, expect_increasing] = GetParam();
+  const double offered = GetParam().offered_mbps;
   const Duration delta =
       path.owd_delta_per_packet(Rate::mbps(offered), DataSize::bytes(800));
-  if (expect_increasing) {
+  if (GetParam().expect_increasing) {
     EXPECT_GT(delta, Duration::zero()) << "R = " << offered;
   } else {
     EXPECT_EQ(delta, Duration::zero()) << "R = " << offered;

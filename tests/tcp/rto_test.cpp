@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "tcp/reno.hpp"
@@ -92,6 +93,57 @@ TEST(TcpRto, SrttConvergesAndRtoTracksIt) {
   // Base RTT = 40 ms prop + small serialization; no congestion.
   EXPECT_NEAR(conn.sender().srtt().millis(), 40.0, 8.0);
   EXPECT_EQ(conn.sender().timeouts(), 0u);
+}
+
+TEST(TcpRto, DeadlineKeepsTheTieBreakTicketOfTheLatestArm) {
+  // Two ACKs in the same nanosecond re-arm the RTO for the same instant.
+  // The timeout must fire at the later arm's FIFO ticket: after an event
+  // scheduled for that instant between the two arms, as a closure
+  // scheduled by each arm would have.
+  BlackholeNet net;
+  net.blackhole();
+  TcpSender sender{net.sim, *net.path, TcpConfig{}};
+  sender.start();  // segments 0 and 1 at t = 0; RTO deadline at 1 s
+  net.sim.run_until(TimePoint::origin() + Duration::milliseconds(100));
+  const auto ack = [&](std::uint64_t cum) {
+    sim::Packet p;
+    p.kind = sim::PacketKind::kTcpAck;
+    p.flow = sender.flow();
+    p.tcp_seq = cum;
+    sender.handle(p);
+  };
+  // RTT sample 100 ms: srtt 100 ms + 4 x rttvar 50 ms = RTO 300 ms, so the
+  // deadline moves *earlier*, from 1 s to 400 ms.
+  ack(1);
+  const TimePoint deadline = TimePoint::origin() + Duration::milliseconds(400);
+  std::uint64_t timeouts_seen = 99;
+  net.sim.schedule_at(deadline, [&] { timeouts_seen = sender.timeouts(); });
+  ack(2);  // no RTT sample (segment 2 is timed): same RTO, later ticket
+  net.sim.run_until(deadline);
+  EXPECT_EQ(timeouts_seen, 0u);
+  EXPECT_EQ(sender.timeouts(), 1u);
+}
+
+TEST(TcpRto, AConnectionKeepsAFewSchedulerKeysWhateverItsWindow) {
+  // Deliveries and ACKs ride one delay line per pipe and the RTO keeps one
+  // timer, so a connection with dozens of segments in flight holds only:
+  // the link's service timer and delivery line, the reverse ACK line, the
+  // RTO timer — plus the sampling timer below.
+  BlackholeNet net;
+  TcpConnection conn{net.sim, *net.path, TcpConfig{}, Duration::milliseconds(20)};
+  conn.sender().start();
+  std::size_t most = 0;
+  double most_in_flight = 0.0;
+  sim::Simulator::TimerHandle sampler;
+  sampler = net.sim.make_timer([&] {
+    most = std::max(most, net.sim.pending_events());
+    most_in_flight = std::max(most_in_flight, conn.sender().cwnd_segments());
+    sampler.schedule_in(Duration::milliseconds(1));
+  });
+  sampler.schedule_in(Duration::milliseconds(1));
+  net.sim.run_for(Duration::seconds(3));
+  EXPECT_GT(most_in_flight, 20.0);
+  EXPECT_LE(most, 5u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -50,6 +53,24 @@ TEST(Rng, ExponentialMeanConverges) {
   EXPECT_NEAR(s.mean(), 3.0, 0.05);
   // Exponential: stddev == mean.
   EXPECT_NEAR(s.stddev(), 3.0, 0.1);
+}
+
+TEST(Rng, ExponentialIsBitIdenticalToStdDistribution) {
+  // exponential() inlines libstdc++'s exponential_distribution expression;
+  // every draw of v1's Poisson cross traffic depends on the two agreeing
+  // to the last bit, including the rare draws where U rounds toward 1.
+  for (const double mean : {1e-4, 0.0012, 1.0, 3.0, 250.0}) {
+    Rng fast{2024};
+    Rng reference{2024};
+    std::exponential_distribution<double> dist{1.0 / mean};
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double a = fast.exponential(mean);
+      const double b = dist(reference.engine());
+      if (std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b)) {
+        FAIL() << "mean " << mean << " draw " << i << ": " << a << " != " << b;
+      }
+    }
+  }
 }
 
 TEST(Rng, ParetoMeanConverges) {

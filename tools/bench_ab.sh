@@ -3,8 +3,9 @@
 #
 # Runs bench/micro_core's engine pairs — BM_CrossTrafficSecond[V2],
 # BM_SimSecondsPerSec/{0,1}, BM_ProbeFleetSecond/{0,1} (batched probe
-# bursts off/on), BM_TcpScenarioSecond/{0,1} (packet vs fluid TCP) and
-# BM_CcDuelSecond/{0,1,2} (the reno|cubic|bbr policy duel) —
+# bursts off/on), BM_TcpScenarioSecond/{0,1} (packet vs fluid TCP),
+# BM_CcDuelSecond/{0,1,2} (the reno|cubic|bbr policy duel) and
+# BM_BulkTransferSecond (one second of the packet-accurate BTC transfer) —
 # with repetitions under random interleaving (so drift in machine load
 # lands on both arms alike), takes the per-arm medians from the benchmark
 # JSON, computes the A/B speedups, and appends one JSON row to
@@ -32,7 +33,7 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 "$binary" \
-  "--benchmark_filter=BM_SimSecondsPerSec|BM_CrossTrafficSecond|BM_ProbeFleetSecond|BM_TcpScenarioSecond|BM_CcDuelSecond" \
+  "--benchmark_filter=BM_SimSecondsPerSec|BM_CrossTrafficSecond|BM_ProbeFleetSecond|BM_TcpScenarioSecond|BM_CcDuelSecond|BM_BulkTransferSecond" \
   "--benchmark_repetitions=$reps" \
   --benchmark_enable_random_interleaving=true \
   --benchmark_report_aggregates_only=true \
@@ -60,10 +61,11 @@ tcp_fluid=$(median "BM_TcpScenarioSecond/1")
 cc_reno=$(median "BM_CcDuelSecond/0")
 cc_cubic=$(median "BM_CcDuelSecond/1")
 cc_bbr=$(median "BM_CcDuelSecond/2")
+bulk=$(median BM_BulkTransferSecond)
 
 for val in "$v1_cross" "$v2_cross" "$v1_simsec" "$v2_simsec" \
            "$fleet_unbatched" "$fleet_batched" "$tcp_packet" "$tcp_fluid" \
-           "$cc_reno" "$cc_cubic" "$cc_bbr"; do
+           "$cc_reno" "$cc_cubic" "$cc_bbr" "$bulk"; do
   if [ -z "$val" ]; then
     echo "bench_ab: missing a median in $workdir/ab.json (benchmark renamed?)" >&2
     exit 1
@@ -73,7 +75,7 @@ done
 row=$(awk -v a="$v1_cross" -v b="$v2_cross" -v c="$v1_simsec" -v d="$v2_simsec" \
       -v e="$fleet_unbatched" -v f="$fleet_batched" \
       -v g="$tcp_packet" -v h="$tcp_fluid" \
-      -v i="$cc_reno" -v j="$cc_cubic" -v k="$cc_bbr" \
+      -v i="$cc_reno" -v j="$cc_cubic" -v k="$cc_bbr" -v l="$bulk" \
       -v reps="$reps" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" 'BEGIN {
   printf "{\"date\": \"%s\", \"repetitions\": %d, ", date, reps
   printf "\"cross_traffic_v1_ns\": %.1f, \"cross_traffic_v2_ns\": %.1f, ", a, b
@@ -85,7 +87,8 @@ row=$(awk -v a="$v1_cross" -v b="$v2_cross" -v c="$v1_simsec" -v d="$v2_simsec" 
   printf "\"tcp_scenario_packet_ns\": %.1f, \"tcp_scenario_fluid_ns\": %.1f, ", g, h
   printf "\"tcp_scenario_speedup\": %.2f, ", g / h
   printf "\"cc_duel_reno_ns\": %.1f, \"cc_duel_cubic_ns\": %.1f, ", i, j
-  printf "\"cc_duel_bbr_ns\": %.1f, \"cc_duel_bbr_ratio\": %.2f}", k, k / i
+  printf "\"cc_duel_bbr_ns\": %.1f, \"cc_duel_bbr_ratio\": %.2f, ", k, k / i
+  printf "\"bulk_transfer_second_ns\": %.1f}", l
 }')
 
 # BENCH_engine.json is a JSON-lines log: one self-contained row per run.
