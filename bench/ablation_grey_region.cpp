@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -18,6 +18,9 @@ using namespace pathload;
 int main() {
   bench::banner("Ablation", "grey region on vs off (bursty path, u = 75%)");
   const int runs = bench::runs(12);
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
 
   Table table{{"variant", "chi_Mbps", "low_Mbps", "high_Mbps", "covers_A",
                "fleets", "latency_s"}};
@@ -36,7 +39,8 @@ int main() {
   for (double chi : {1.5, 0.5}) {
     core::PathloadConfig tool;
     tool.chi = Rate::mbps(chi);
-    const auto rr = scenario::run_scenario_repeated(spec, tool, runs, bench::seed());
+    const auto rr =
+        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
     table.add_row({"grey-region", Table::num(chi, 1),
                    Table::num(rr.mean_low().mbits_per_sec(), 2),
                    Table::num(rr.mean_high().mbits_per_sec(), 2),
@@ -51,7 +55,8 @@ int main() {
   {
     core::PathloadConfig tool;
     tool.fleet_fraction = 0.51;
-    const auto rr = scenario::run_scenario_repeated(spec, tool, runs, bench::seed());
+    const auto rr =
+        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
     table.add_row({"no-grey(f=0.51)", "-",
                    Table::num(rr.mean_low().mbits_per_sec(), 2),
                    Table::num(rr.mean_high().mbits_per_sec(), 2),

@@ -10,8 +10,8 @@
 
 #include "bench/common.hpp"
 #include "core/trend.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -20,6 +20,9 @@ using namespace pathload;
 namespace {
 
 void run_detector_comparison(int runs) {
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
   Table table{{"detector", "avail_Mbps", "low_Mbps", "high_Mbps", "covers_A"}};
   const struct {
     const char* name;
@@ -35,7 +38,8 @@ void run_detector_comparison(int runs) {
   for (const auto& d : detectors) {
     core::PathloadConfig tool;
     tool.trend.mode = d.mode;
-    const auto rr = scenario::run_scenario_repeated(spec, tool, runs, bench::seed());
+    const auto rr =
+        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
     table.add_row({d.name, "4.0", Table::num(rr.mean_low().mbits_per_sec(), 2),
                    Table::num(rr.mean_high().mbits_per_sec(), 2),
                    Table::num(rr.coverage(Rate::mbps(4)) * 100, 0) + "%"});

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -17,6 +17,9 @@ using namespace pathload;
 int main() {
   bench::banner("Fig. 8", "reported avail-bw range vs fleet fraction f");
   const int repeats = bench::runs(8);  // average a few single-run ranges
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
   std::printf("(single-run ranges, averaged over %d seeds)\n\n", repeats);
 
   Table table{{"f", "avail_Mbps", "low_Mbps", "high_Mbps", "width_Mbps"}};
@@ -30,8 +33,8 @@ int main() {
     core::PathloadConfig tool;
     tool.fleet_fraction = f;
 
-    const auto rr =
-        scenario::run_scenario_repeated(spec, tool, repeats, bench::seed() + (f * 100));
+    const auto rr = scenario::sweep_scenario_repeated(
+        spec, tool, repeats, bench::seed() + (f * 100), runner);
     table.add_row({Table::num(f, 2), "5.0",
                    Table::num(rr.mean_low().mbits_per_sec(), 2),
                    Table::num(rr.mean_high().mbits_per_sec(), 2),

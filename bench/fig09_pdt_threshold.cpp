@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/table.hpp"
 
 using namespace pathload;
@@ -17,6 +17,9 @@ using namespace pathload;
 int main() {
   bench::banner("Fig. 9", "pathload range vs PDT threshold (PDT-only detection)");
   const int repeats = bench::runs(8);
+  // Runs are sharded across threads (PATHLOAD_THREADS); output is
+  // byte-identical for any thread count.
+  scenario::SweepRunner runner;
   std::printf("(averaged over %d seeds)\n\n", repeats);
 
   Table table{{"pdt_thresh", "avail_Mbps", "low_Mbps", "high_Mbps", "center"}};
@@ -31,8 +34,8 @@ int main() {
     tool.trend.mode = core::TrendConfig::Mode::kPdtOnly;
     tool.trend.pdt_threshold = thr;
 
-    const auto rr =
-        scenario::run_scenario_repeated(spec, tool, repeats, bench::seed() + (thr * 100));
+    const auto rr = scenario::sweep_scenario_repeated(
+        spec, tool, repeats, bench::seed() + (thr * 100), runner);
     table.add_row({Table::num(thr, 2), "5.0",
                    Table::num(rr.mean_low().mbits_per_sec(), 2),
                    Table::num(rr.mean_high().mbits_per_sec(), 2),

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/btc.hpp"
@@ -177,34 +178,46 @@ void BM_SimSecondsPerSec(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSecondsPerSec)->Arg(0)->Arg(1);
 
-void BM_ProbeFleetSecond(benchmark::State& state) {
-  // A full v2 pathload session on paper-path (probe fleets over fluid
-  // links) with burst batching off (arg 0) vs on (arg 1): the A/B for the
-  // closed-form burst pass + Simulator::schedule_batch. Before measuring,
-  // pin the contract the speedup rides on: batched and unbatched must be
-  // byte-identical on the seed-77 anchor (bench_smoke_engine_v2 runs this
-  // in the default CI tier).
-  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
+scenario::ScenarioSpec v2_spec(std::string_view preset) {
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at(preset);
   spec.engine = scenario::EngineVersion::kV2;
+  return spec;
+}
+
+// True if a seed-77 pathload session on `spec` is byte-identical with burst
+// batching off and on.
+bool batching_invisible(const scenario::ScenarioSpec& spec) {
   core::PathloadConfig tool;
-  static const bool identical = [&] {
-    scenario::SimProbeChannel::set_burst_batching(false);
-    const auto off = scenario::run_scenario_once(spec, tool, 77);
-    scenario::SimProbeChannel::set_burst_batching(true);
-    const auto on = scenario::run_scenario_once(spec, tool, 77);
-    return off.range.low.bits_per_sec() == on.range.low.bits_per_sec() &&
-           off.range.high.bits_per_sec() == on.range.high.bits_per_sec() &&
-           off.elapsed.nanos() == on.elapsed.nanos() &&
-           off.fleets == on.fleets;
-  }();
+  scenario::SimProbeChannel::set_burst_batching(false);
+  const auto off = scenario::run_scenario_once(spec, tool, 77);
+  scenario::SimProbeChannel::set_burst_batching(true);
+  const auto on = scenario::run_scenario_once(spec, tool, 77);
+  return off.range.low.bits_per_sec() == on.range.low.bits_per_sec() &&
+         off.range.high.bits_per_sec() == on.range.high.bits_per_sec() &&
+         off.elapsed.nanos() == on.elapsed.nanos() && off.fleets == on.fleets;
+}
+
+void BM_ProbeFleetSecond(benchmark::State& state) {
+  // A full v2 pathload session (probe fleets over fluid links) on
+  // paper-path with burst batching off (arg 0) vs on (arg 1), and on the
+  // impaired lossy-tight with batching on (arg 2): the A/B for the
+  // closed-form hop-by-hop burst pass. Before measuring, pin the contract
+  // the speedup rides on: batched and unbatched must be byte-identical on
+  // the seed-77 session of both presets (bench_smoke_engine_v2 runs this
+  // in the default CI tier).
+  static const bool identical = batching_invisible(v2_spec("paper-path")) &&
+                                batching_invisible(v2_spec("lossy-tight"));
   if (!identical) {
     state.SkipWithError(
         "batched v2 probe path is not byte-identical to unbatched on "
-        "paper-path seed 77");
+        "paper-path or lossy-tight seed 77");
     for (auto _ : state) {
     }
     return;
   }
+  const scenario::ScenarioSpec spec =
+      v2_spec(state.range(0) == 2 ? "lossy-tight" : "paper-path");
+  const core::PathloadConfig tool;
   scenario::SimProbeChannel::set_burst_batching(state.range(0) != 0);
   for (auto _ : state) {
     const auto res = scenario::run_scenario_once(spec, tool, 77);
@@ -212,7 +225,7 @@ void BM_ProbeFleetSecond(benchmark::State& state) {
   }
   scenario::SimProbeChannel::set_burst_batching(true);
 }
-BENCHMARK(BM_ProbeFleetSecond)->Arg(0)->Arg(1);
+BENCHMARK(BM_ProbeFleetSecond)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TcpScenarioSecond(benchmark::State& state) {
   // One simulated second (plus the 2 s warmup run by start()) of the

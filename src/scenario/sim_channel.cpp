@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -28,7 +27,8 @@ SimProbeChannel::SimProbeChannel(sim::Simulator& sim, sim::Path& path)
     : sim_{sim},
       path_{path},
       flow_{sim.next_flow_id()},
-      send_timer_{sim.make_timer([this] { send_next(); })} {
+      send_timer_{sim.make_timer([this] { send_next(); })},
+      done_timer_{sim.make_timer([] {})} {
   receiver_.channel = this;
   path_.egress().register_flow(flow_, &receiver_);
 }
@@ -91,17 +91,16 @@ void SimProbeChannel::Receiver::handle(const sim::Packet& p) {
 
 void SimProbeChannel::run_stream_batched(const core::StreamSpec& spec) {
   // The batched probe-burst fast path (docs/ENGINE.md): every link is in
-  // fluid mode, so the whole burst's transit is a closed-form pass over the
-  // piecewise-constant workload of each hop — Link::fluid_transit performs
-  // the same state updates in the same floating-point order as the
-  // event-driven chain, so the delivery times (and therefore Eq. 22's OWD
-  // slope and packet-on-packet FIFO spacing) come out byte-identical. Only
-  // the final accounting points are scheduled: one bulk insert of K events
-  // instead of K send timers plus K per-hop delivery closures.
-  std::vector<sim::Simulator::BatchEvent> batch;
-  batch.reserve(send_times_.size());
+  // fluid mode, so the burst's transit is a closed-form pass over each
+  // hop's piecewise-constant workload. Link::fluid_forward is the fluid
+  // handle() minus the scheduling, so feeding each hop its arrivals in the
+  // event path's order reproduces that path's state updates, impairment
+  // draws and delivery times bit for bit.
+  burst_.resize(send_times_.size());
+  hop_in_.clear();
   for (std::size_t i = 0; i < send_times_.size(); ++i) {
-    sim::Packet p;
+    sim::Packet& p = burst_[i];
+    p = sim::Packet{};
     p.id = sim_.next_packet_id();
     p.flow = flow_;
     p.kind = sim::PacketKind::kProbe;
@@ -111,49 +110,48 @@ void SimProbeChannel::run_stream_batched(const core::StreamSpec& spec) {
     p.seq = static_cast<std::uint32_t>(i);
     p.sender_ts = send_times_[i] + sender_offset_;
     p.entered = send_times_[i];
-    TimePoint t = send_times_[i];
-    bool dropped = false;
-    for (std::size_t h = 0; h < path_.hop_count(); ++h) {
-      const std::optional<TimePoint> delivery = path_.link(h).fluid_transit(p, t);
-      if (!delivery.has_value()) {
-        dropped = true;
-        break;
-      }
-      t = *delivery;
-    }
-    if (dropped) {
-      // The drop is already on the link counters; the placeholder event
-      // makes the completion loop end at the same instant as the
-      // event-driven path, where the drop is accounted during the arrival
-      // event at the dropping hop (`t` still holds that arrival time).
-      batch.push_back({t, sim::Simulator::Callback{[this] { --batch_pending_; }}});
-    } else {
-      core::ProbeRecord rec;
-      rec.seq = p.seq;
-      rec.sent = p.sender_ts;
-      rec.received = t + receiver_offset_;
-      batch.push_back({t, sim::Simulator::Callback{[this, rec] {
-                         records_.push_back(rec);
-                         --batch_pending_;
-                       }}});
-    }
+    hop_in_.push_back({send_times_[i], p.seq});
   }
-  // FIFO keeps survivor deliveries in send order, but a drop's accounting
-  // point (arrival at the dropping hop) can precede an earlier packet's
-  // egress delivery; restore the time order schedule_batch requires. Stable,
-  // so equal-timestamp entries keep packet order.
-  const auto by_time = [](const sim::Simulator::BatchEvent& a,
-                          const sim::Simulator::BatchEvent& b) { return a.at < b.at; };
-  if (!std::is_sorted(batch.begin(), batch.end(), by_time)) {
-    std::stable_sort(batch.begin(), batch.end(), by_time);
+  // Each hop sees its arrivals in the event path's (time, ticket) order.
+  // Tickets follow the previous hop's processing order (the send order at
+  // the first hop), so that is a stable sort by time; FIFO service keeps
+  // the list sorted unless reorder jitter scrambles it.
+  const auto in_event_order = [](std::vector<HopArrival>& v) {
+    const auto by_time = [](const HopArrival& x, const HopArrival& y) { return x.at < y.at; };
+    if (!std::is_sorted(v.begin(), v.end(), by_time)) {
+      std::stable_sort(v.begin(), v.end(), by_time);
+    }
+  };
+  // The event path accounts a drop during the arrival event at the
+  // dropping hop and a record at the egress delivery; the stream ends at
+  // the latest of them.
+  TimePoint last = sim_.now();
+  for (std::size_t h = 0; h < path_.hop_count(); ++h) {
+    in_event_order(hop_in_);
+    sim::Link& link = path_.link(h);
+    hop_out_.clear();
+    for (const HopArrival& a : hop_in_) {
+      const sim::Link::FluidForward f = link.fluid_forward(burst_[a.seq], a.at);
+      if (f.dropped) last = std::max(last, a.at);
+      for (std::uint8_t c = 0; c < f.forwarded; ++c) hop_out_.push_back({f.at[c], a.seq});
+    }
+    hop_in_.swap(hop_out_);
   }
-  batch_pending_ = batch.size();
-  sim_.schedule_batch(std::move(batch));
-  // Run up to (and including) the stream's last accounting point. Foreign
-  // events before it are processed exactly as the event-driven completion
-  // loop would have processed them.
-  while (batch_pending_ > 0) {
-    if (!sim_.run_next()) break;  // unreachable: pending events are queued
+  in_event_order(hop_in_);
+  for (const HopArrival& a : hop_in_) {
+    core::ProbeRecord rec;
+    rec.seq = a.seq;
+    rec.sent = burst_[a.seq].sender_ts;
+    rec.received = a.at + receiver_offset_;
+    records_.push_back(rec);
+  }
+  if (!hop_in_.empty()) last = std::max(last, hop_in_.back().at);
+  // One completion event at the last accounting instant, with a ticket
+  // taken at stream start: at that instant it runs after every event
+  // queued before the stream and before any scheduled during it.
+  done_timer_.schedule_at(last);
+  while (done_timer_.pending()) {
+    if (!sim_.run_next()) break;  // unreachable: the timer is queued
   }
 }
 
@@ -194,11 +192,7 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
   records_.clear();
   records_.reserve(static_cast<std::size_t>(spec.packet_count));
 
-  // Impairment bookkeeping engages only on an impaired path; pristine paths
-  // take the exact pre-impairment accounting (bit-identical runs).
   const bool impaired = path_impaired();
-  const std::uint64_t drops_before = probe_drops();
-  const std::uint64_t dups_before = impaired ? probe_dups() : 0;
   const TimePoint start = sim_.now();
 
   // Fix the K departure times upfront — periodic multiples of T, or the
@@ -218,9 +212,16 @@ core::StreamOutcome SimProbeChannel::run_stream(const core::StreamSpec& spec) {
     }
     send_times_[static_cast<std::size_t>(i)] = start + nominal_offset + accumulated_gap;
   }
-  if (burst_batching() && !impaired && path_all_fluid()) {
+  // On an impaired path the closed-form pass is exact only when no foreign
+  // event can interleave with the stream (docs/ENGINE.md).
+  if (burst_batching() && path_all_fluid() &&
+      (!impaired || sim_.pending_events() == 0)) {
     run_stream_batched(spec);
   } else {
+    // Impairment bookkeeping engages only on an impaired path; pristine
+    // paths take the exact pre-impairment accounting (bit-identical runs).
+    const std::uint64_t drops_before = probe_drops();
+    const std::uint64_t dups_before = impaired ? probe_dups() : 0;
     spec_ = &spec;
     send_idx_ = 0;
     ticket_base_ =

@@ -47,12 +47,13 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   std::uint32_t flow() const { return flow_; }
 
   /// Process-wide toggle for the batched probe-burst fast path (engine v2,
-  /// docs/ENGINE.md). On a fully fluid, unimpaired path run_stream computes
-  /// the whole burst's transit closed-form and bulk-inserts one delivery
-  /// event per packet (Simulator::schedule_batch) instead of simulating
-  /// 2K scheduled events. Default on; switching it off forces the
-  /// event-driven per-packet path (A/B benches and the batched-vs-unbatched
-  /// identity tests). Flip it only between streams.
+  /// docs/ENGINE.md). On a fully fluid path that is unimpaired, or
+  /// impaired with an empty event queue, run_stream computes the whole
+  /// burst closed-form, hop by hop, and schedules one completion event
+  /// instead of simulating the stream's per-packet events. Default on;
+  /// switching it off forces the event-driven per-packet path (A/B benches
+  /// and the batched-vs-unbatched identity tests). Flip it only between
+  /// streams.
   static void set_burst_batching(bool on);
   static bool burst_batching();
 
@@ -93,11 +94,16 @@ class SimProbeChannel final : public core::ProbeChannel, public core::BulkChanne
   std::uint64_t ticket_base_{0};
   sim::Simulator::TimerHandle send_timer_;
   std::vector<core::ProbeRecord> records_;
-  // Batched mode: deliveries (and drop accounting points) still pending in
-  // the event queue for the stream in flight; the completion loop runs
-  // until it hits zero, which lands the clock on the same instant as the
-  // event-driven path.
-  std::uint64_t batch_pending_{0};
+  // Batched mode: the stream's one scheduler key, armed at its last
+  // accounting instant, and reusable scratch for the hop-by-hop pass.
+  sim::Simulator::TimerHandle done_timer_;
+  struct HopArrival {
+    TimePoint at;
+    std::uint32_t seq;
+  };
+  std::vector<sim::Packet> burst_;
+  std::vector<HopArrival> hop_in_;
+  std::vector<HopArrival> hop_out_;
 };
 
 }  // namespace pathload::scenario

@@ -1155,7 +1155,7 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
 void ScenarioInstance::build_v2_traffic() {
   // Every link runs in fluid mode under v2 — including unloaded ones, so a
   // probe or TCP packet costs one scheduled event per hop instead of two,
-  // with packet-on-packet FIFO queueing still exact (Link::accept_fluid).
+  // with packet-on-packet FIFO queueing still exact (Link::fluid_forward).
   for (std::size_t i = 0; i < path_->hop_count(); ++i) {
     path_->link(i).enable_fluid_mode();
   }

@@ -21,32 +21,49 @@ Link::Link(Simulator& sim, std::string name, Rate capacity, Duration prop_delay,
 }
 
 void Link::handle(const Packet& p) {
-  if (impair_rng_ != nullptr) {
-    // Draw order is part of the determinism contract (see LinkImpairments):
-    // loss first, then duplication; a disabled knob draws nothing.
-    if (impair_.loss > 0.0 && impair_rng_->uniform() < impair_.loss) {
-      ++drops_;
-      ++impaired_drops_;
-      if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
-      return;
+  if (fluid_mode_) {
+    const FluidForward f = fluid_forward(p, sim_.now());
+    if (downstream_ != nullptr) {
+      for (std::uint8_t i = 0; i < f.forwarded; ++i) {
+        deliveries_.push(f.at[i], downstream_, p);
+      }
     }
-    if (impair_.dup > 0.0 && impair_rng_->uniform() < impair_.dup) {
-      // The extra copy is counted *before* it is accepted so that per-flow
-      // accounting (records + drops == sent + dups) balances even when the
-      // copy is immediately drop-tailed.
-      ++duplicates_;
-      if (p.flow != kCrossTrafficFlow) ++flow_dups_[p.flow];
-      accept(p);
-    }
+    return;
   }
-  accept(p);
+  for (int copies = arrival_copies(p); copies > 0; --copies) accept(p);
+}
+
+int Link::arrival_copies(const Packet& p) {
+  if (impair_rng_ == nullptr) return 1;
+  // Draw order is part of the determinism contract (see LinkImpairments):
+  // loss first, then duplication; a disabled knob draws nothing.
+  if (impair_.loss > 0.0 && impair_rng_->uniform() < impair_.loss) {
+    ++drops_;
+    ++impaired_drops_;
+    if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
+    return 0;
+  }
+  if (impair_.dup > 0.0 && impair_rng_->uniform() < impair_.dup) {
+    // The extra copy is counted *before* it is accepted so that per-flow
+    // accounting (records + drops == sent + dups) balances even when the
+    // copy is immediately drop-tailed.
+    ++duplicates_;
+    if (p.flow != kCrossTrafficFlow) ++flow_dups_[p.flow];
+    return 2;
+  }
+  return 1;
+}
+
+Duration Link::reorder_jitter() {
+  // Reorder jitter stretches the propagation of individual packets, so a
+  // lucky later packet can overtake an unlucky earlier one downstream.
+  if (impair_rng_ == nullptr || impair_.reorder <= Duration::zero()) {
+    return Duration::zero();
+  }
+  return impair_.reorder * impair_rng_->uniform();
 }
 
 void Link::accept(const Packet& p) {
-  if (fluid_mode_) {
-    accept_fluid(p);
-    return;
-  }
   if (busy_) {
     if (queued_bytes_ + p.size() > buffer_limit_) {
       ++drops_;
@@ -117,17 +134,21 @@ std::optional<TimePoint> Link::fluid_transit(const Packet& p, TimePoint arrival)
   return arrival + (wait + prop_delay_);
 }
 
-void Link::accept_fluid(const Packet& p) {
-  const TimePoint now = sim_.now();
-  const std::optional<TimePoint> delivery = fluid_transit(p, now);
-  if (!delivery.has_value()) return;  // drop-tailed (already accounted)
-  if (downstream_ != nullptr) {
-    Duration delay = *delivery - now;
-    if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
-      delay += impair_.reorder * impair_rng_->uniform();
+Link::FluidForward Link::fluid_forward(const Packet& p, TimePoint arrival) {
+  FluidForward f;
+  const int copies = arrival_copies(p);
+  f.dropped = copies == 0;
+  for (int c = 0; c < copies; ++c) {
+    const std::optional<TimePoint> out = fluid_transit(p, arrival);
+    if (!out.has_value()) {
+      f.dropped = true;
+      continue;
     }
-    deliveries_.push(now + delay, downstream_, p);
+    // The jitter is drawn only for a copy that is handed on, as the packet
+    // path's finish_service draws it.
+    f.at[f.forwarded++] = downstream_ != nullptr ? *out + reorder_jitter() : *out;
   }
+  return f;
 }
 
 DataSize Link::bytes_forwarded() const {
@@ -151,14 +172,9 @@ void Link::finish_service() {
   ++packets_forwarded_;
   if (downstream_ != nullptr) {
     // Propagation: the packet appears at the downstream node prop_delay
-    // after its last bit leaves this link. Reorder jitter stretches the
-    // propagation of individual packets, so a lucky later packet can
-    // overtake an unlucky earlier one downstream.
-    Duration delay = prop_delay_;
-    if (impair_rng_ != nullptr && impair_.reorder > Duration::zero()) {
-      delay += impair_.reorder * impair_rng_->uniform();
-    }
-    deliveries_.push(sim_.now() + delay, downstream_, in_service_);
+    // (plus any reorder jitter) after its last bit leaves this link.
+    deliveries_.push(sim_.now() + (prop_delay_ + reorder_jitter()), downstream_,
+                     in_service_);
   }
   if (!queue_.empty()) {
     in_service_ = queue_.front();

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -80,19 +81,29 @@ class Link final : public PacketHandler {
   void add_fluid_rate(Rate delta);
   Rate fluid_rate() const { return Rate::bps(fluid_rate_bps_); }
 
-  /// Closed-form fluid-mode transit (the batched probe-burst fast path,
-  /// docs/ENGINE.md): settle the workload to `arrival`, account the packet
-  /// exactly as accept_fluid would at that instant, and return its delivery
-  /// time at the downstream node (arrival + wait + prop_delay), or nullopt
-  /// if the packet is drop-tailed. Performs the same state updates in the
-  /// same floating-point order as the event-driven path, so feeding a burst
-  /// through in arrival order is byte-identical to simulating it — but
-  /// schedules nothing. Callers own delivery: nothing is handed downstream.
-  /// `arrival` may be in the future; later event-driven settles before that
-  /// point then no-op (the workload is already integrated past them), which
-  /// is the documented approximation when foreign rate changes land inside
-  /// a processed burst. Requires fluid mode and an unimpaired link.
-  std::optional<TimePoint> fluid_transit(const Packet& p, TimePoint arrival);
+  /// What one arrival at a fluid link turns into (see fluid_forward).
+  struct FluidForward {
+    /// Arrival instants at the downstream node of the copies that were
+    /// forwarded, in handle()'s order: a duplicate before its original.
+    std::array<TimePoint, 2> at{};
+    std::uint8_t forwarded{0};
+    /// Some copy was dropped on arrival (random loss or drop-tail).
+    bool dropped{false};
+  };
+
+  /// Closed form of a fluid link's whole handle() for a packet arriving at
+  /// `arrival`: the loss and dup draws, then per copy (a duplicate first)
+  /// the transit against the fluid workload settled to `arrival` and the
+  /// reorder-jitter draw. The link's counters and RNG advance exactly as
+  /// handle() would advance them at that instant, but nothing is scheduled
+  /// or handed downstream; handle() in fluid mode is this call plus the
+  /// pushes onto the delivery pipe, so the two cannot disagree. The batched
+  /// probe-burst pass (docs/ENGINE.md) feeds a stream through hop by hop
+  /// in event order. `arrival` may be in the future: later event-driven
+  /// settles before it then no-op, which is that pass's documented
+  /// approximation when a foreign rate change lands inside a burst.
+  /// Requires fluid mode.
+  FluidForward fluid_forward(const Packet& p, TimePoint arrival);
 
   const std::string& name() const { return name_; }
   Rate capacity() const { return capacity_; }
@@ -134,8 +145,16 @@ class Link final : public PacketHandler {
   Link& operator=(const Link&) = delete;
 
  private:
+  /// Loss and dup draws for one arrival, in the determinism-contract
+  /// order (LinkImpairments): the number of copies to accept, 0 to 2.
+  int arrival_copies(const Packet& p);
+  /// The reorder-jitter draw for one forwarded copy (zero if disabled).
+  Duration reorder_jitter();
   void accept(const Packet& p);
-  void accept_fluid(const Packet& p);
+  /// One copy's drop-tail check and FIFO transit against the workload
+  /// settled to `arrival`: its arrival downstream before jitter, or nullopt
+  /// if drop-tailed (already counted).
+  std::optional<TimePoint> fluid_transit(const Packet& p, TimePoint arrival);
   void settle_fluid();
   void settle_fluid_at(TimePoint now);
   void begin_service();

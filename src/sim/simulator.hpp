@@ -83,22 +83,6 @@ class Simulator {
   /// upfront, which keeps runs bit-identical to the pre-timer engine.
   std::uint64_t reserve_fifo_tickets(std::uint32_t n);
 
-  /// One event of a schedule_batch call.
-  struct BatchEvent {
-    TimePoint at;
-    Callback cb;
-  };
-
-  /// Bulk-insert `entries` (time-ascending, none in the past) under one
-  /// internal reserve_fifo_tickets block, returning the first ticket.
-  /// Equal-timestamp ordering within the batch follows entry order; against
-  /// foreign events it is exactly as if every entry had been scheduled at
-  /// the call instant. Because entries arrive presorted, near keys append
-  /// to the fast lane without sorted-insert churn and beyond-window keys
-  /// are heapified once at the end instead of sift-up per key — the
-  /// fleet-start path of the batched probe bursts (docs/ENGINE.md).
-  std::uint64_t schedule_batch(std::vector<BatchEvent> entries);
-
   /// Run a single event; returns false if the queue is empty.
   bool run_next();
 

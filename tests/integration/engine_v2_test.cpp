@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/estimators.hpp"
+#include "core/stream.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/shard.hpp"
@@ -48,10 +51,10 @@ TEST(EngineV2Determinism, GoldenAnchorPaperPathSeed77) {
 }
 
 TEST(EngineV2Determinism, BatchedMatchesUnbatchedByteIdentical) {
-  // The closed-form burst pass (SimProbeChannel::run_stream_batched +
-  // Simulator::schedule_batch) is a pure reordering of the same
-  // floating-point work: on a quiescent fluid path it must reproduce the
-  // event-driven v2 results bit for bit, not approximately.
+  // The closed-form burst pass (SimProbeChannel::run_stream_batched) is a
+  // pure reordering of the same floating-point work: on a quiescent fluid
+  // path it must reproduce the event-driven v2 results bit for bit, not
+  // approximately.
   core::PathloadConfig tool;
   for (const std::uint64_t seed : {77ULL, 123ULL, 9001ULL}) {
     SimProbeChannel::set_burst_batching(false);
@@ -65,6 +68,162 @@ TEST(EngineV2Determinism, BatchedMatchesUnbatchedByteIdentical) {
     EXPECT_EQ(off.elapsed.nanos(), on.elapsed.nanos()) << "seed " << seed;
     EXPECT_EQ(off.fleets, on.fleets) << "seed " << seed;
   }
+}
+
+// Every field of an estimator report, with bit-exact rates.
+void expect_same_report(const core::EstimateReport& a, const core::EstimateReport& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.valid, b.valid) << label;
+  EXPECT_EQ(a.low.bits_per_sec(), b.low.bits_per_sec()) << label;
+  EXPECT_EQ(a.high.bits_per_sec(), b.high.bits_per_sec()) << label;
+  EXPECT_EQ(a.capacity.has_value(), b.capacity.has_value()) << label;
+  if (a.capacity.has_value() && b.capacity.has_value()) {
+    EXPECT_EQ(a.capacity->bits_per_sec(), b.capacity->bits_per_sec()) << label;
+  }
+  EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos()) << label;
+  EXPECT_EQ(a.streams_sent, b.streams_sent) << label;
+  EXPECT_EQ(a.packets_sent, b.packets_sent) << label;
+  EXPECT_EQ(a.packets_lost, b.packets_lost) << label;
+  EXPECT_EQ(a.bytes_sent.byte_count(), b.bytes_sent.byte_count()) << label;
+  EXPECT_EQ(a.outcome, b.outcome) << label;
+  EXPECT_EQ(a.outcome_note, b.outcome_note) << label;
+  ASSERT_EQ(a.iterations.size(), b.iterations.size()) << label;
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    EXPECT_EQ(a.iterations[i].offered_mbps, b.iterations[i].offered_mbps) << label;
+    EXPECT_EQ(a.iterations[i].measured_mbps, b.iterations[i].measured_mbps) << label;
+    EXPECT_EQ(a.iterations[i].note, b.iterations[i].note) << label;
+  }
+}
+
+void expect_batching_invisible(const ScenarioSpec& spec, const std::string& name) {
+  for (const char* tool : {"pathload", "topp", "pathchirp", "pktpair"}) {
+    for (const std::uint64_t seed : {77ULL, 123ULL, 9001ULL}) {
+      const auto est = baselines::builtin_estimators().make(tool);
+      SimProbeChannel::set_burst_batching(false);
+      const auto off = run_estimator_once(spec, *est, seed);
+      SimProbeChannel::set_burst_batching(true);
+      const auto on = run_estimator_once(spec, *est, seed);
+      expect_same_report(off, on, name + " " + tool + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(EngineV2Determinism, BatchedMatchesUnbatchedAcrossPresetsAndTools) {
+  // The hop-by-hop burst pass replays each fluid hop's handle() in the
+  // event path's order, so on a quiescent path, and on an impaired one
+  // whose event queue is empty, every tool's whole report must equal the
+  // event-driven run bit for bit.
+  for (const char* preset : {"paper-path", "lossy-tight", "reorder-jitter", "flaky-path"}) {
+    expect_batching_invisible(v2_preset(preset), preset);
+  }
+}
+
+// FNV-1a over every field of a report, rates by their bit patterns.
+struct ReportHash {
+  std::uint64_t h{1469598103934665603ULL};
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) u64(static_cast<unsigned char>(c));
+  }
+  void add(const core::EstimateReport& r) {
+    str(r.outcome_note);
+    u64(static_cast<std::uint64_t>(r.outcome));
+    u64(r.valid);
+    f64(r.low.bits_per_sec());
+    f64(r.high.bits_per_sec());
+    f64(r.capacity ? r.capacity->bits_per_sec() : -1.0);
+    u64(static_cast<std::uint64_t>(r.elapsed.nanos()));
+    u64(static_cast<std::uint64_t>(r.streams_sent));
+    u64(static_cast<std::uint64_t>(r.packets_sent));
+    u64(static_cast<std::uint64_t>(r.packets_lost));
+    u64(r.iterations.size());
+    for (const auto& it : r.iterations) {
+      f64(it.offered_mbps);
+      f64(it.measured_mbps);
+      str(it.note);
+    }
+  }
+};
+
+TEST(EngineV2Determinism, BurstStartApproximationIsUnchanged) {
+  // On paths with queued rate changes (on/off bursts, fluid TCP epochs)
+  // the pass runs under its documented burst-start approximation, so
+  // batching on and off legitimately differ there. The batched reports
+  // must instead be the ones the earlier per-packet batch scheduler gave:
+  // one hash over the four tools x three seeds, captured with it.
+  const std::pair<const char*, std::uint64_t> anchors[] = {
+      {"bursty-tight", 0xad0f50af2ac8fa89ULL},
+      {"tcp-bg-greedy", 0x1fb9aa42cc3eb593ULL},
+  };
+  for (const auto& [preset, anchor] : anchors) {
+    ReportHash hash;
+    for (const char* tool : {"pathload", "topp", "pathchirp", "pktpair"}) {
+      for (const std::uint64_t seed : {77ULL, 123ULL, 9001ULL}) {
+        const auto est = baselines::builtin_estimators().make(tool);
+        hash.add(run_estimator_once(v2_preset(preset), *est, seed));
+      }
+    }
+    EXPECT_EQ(hash.h, anchor) << preset << std::hex << " got 0x" << hash.h;
+  }
+}
+
+TEST(EngineV2Determinism, ImpairedPathWithOnOffSourceStaysOnEventPath) {
+  // An on/off source keeps rate-change events queued, so an impaired path
+  // carrying one must not take the closed-form pass (its draws could
+  // interleave with foreign events); batching on or off, the runs agree.
+  ScenarioSpec spec = v2_preset("bursty-tight");
+  ImpairSpec imp;
+  imp.hop = 1;
+  imp.loss = 0.03;
+  imp.dup = 0.01;
+  imp.reorder_ms = 1.0;
+  spec.impairments.push_back(imp);
+  expect_batching_invisible(spec, "bursty-tight+impair");
+}
+
+TEST(EngineV2Determinism, ABatchedStreamCostsOneSchedulerEventAndKey) {
+  // The pass writes a stream's records in place and arms one completion
+  // timer: a 100-packet stream adds exactly one processed event, on a
+  // pristine path and on an impaired one with an empty queue alike.
+  core::StreamSpec spec = core::make_stream_spec(Rate::mbps(2), core::PathloadConfig{});
+  ASSERT_EQ(spec.packet_count, 100);
+  spec.stream_id = 1;
+  for (const char* preset : {"paper-path", "lossy-tight"}) {
+    ScenarioInstance inst{v2_preset(preset)};
+    inst.start();
+    SimProbeChannel ch{inst.simulator(), inst.path()};
+    const std::uint64_t before = inst.simulator().events_processed();
+    ch.run_stream(spec);
+    EXPECT_EQ(inst.simulator().events_processed() - before, 1u) << preset;
+  }
+
+  // While the stream is in flight it holds one scheduler key, not one per
+  // packet. A sampler reads the queue every millisecond (its own key is
+  // off the queue while it samples).
+  ScenarioInstance inst{v2_preset("paper-path")};
+  inst.start();
+  sim::Simulator& sim = inst.simulator();
+  SimProbeChannel ch{sim, inst.path()};
+  const std::size_t foreign = sim.pending_events();
+  std::size_t most = 0;
+  int samples = 0;
+  sim::Simulator::TimerHandle sampler;
+  sampler = sim.make_timer([&] {
+    most = std::max(most, sim.pending_events() - foreign);
+    ++samples;
+    sampler.schedule_in(Duration::milliseconds(1));
+  });
+  sampler.schedule_in(Duration::zero());
+  ch.run_stream(spec);
+  EXPECT_GT(samples, 50);
+  EXPECT_LE(most, 1u);
 }
 
 TEST(EngineV2Determinism, FluidTcpRunToRunIdenticalPerSeed) {

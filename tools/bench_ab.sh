@@ -2,8 +2,9 @@
 # bench_ab — interleaved A/B of the engine benchmarks (v1 vs v2).
 #
 # Runs bench/micro_core's engine pairs — BM_CrossTrafficSecond[V2],
-# BM_SimSecondsPerSec/{0,1}, BM_ProbeFleetSecond/{0,1} (batched probe
-# bursts off/on), BM_TcpScenarioSecond/{0,1} (packet vs fluid TCP),
+# BM_SimSecondsPerSec/{0,1}, BM_ProbeFleetSecond/{0,1,2} (batched probe
+# bursts off/on, and on the impaired lossy-tight), BM_TcpScenarioSecond/{0,1}
+# (packet vs fluid TCP),
 # BM_CcDuelSecond/{0,1,2} (the reno|cubic|bbr policy duel) and
 # BM_BulkTransferSecond (one second of the packet-accurate BTC transfer) —
 # with repetitions under random interleaving (so drift in machine load
@@ -56,6 +57,7 @@ v1_simsec=$(median "BM_SimSecondsPerSec/0")
 v2_simsec=$(median "BM_SimSecondsPerSec/1")
 fleet_unbatched=$(median "BM_ProbeFleetSecond/0")
 fleet_batched=$(median "BM_ProbeFleetSecond/1")
+fleet_impaired=$(median "BM_ProbeFleetSecond/2")
 tcp_packet=$(median "BM_TcpScenarioSecond/0")
 tcp_fluid=$(median "BM_TcpScenarioSecond/1")
 cc_reno=$(median "BM_CcDuelSecond/0")
@@ -64,7 +66,8 @@ cc_bbr=$(median "BM_CcDuelSecond/2")
 bulk=$(median BM_BulkTransferSecond)
 
 for val in "$v1_cross" "$v2_cross" "$v1_simsec" "$v2_simsec" \
-           "$fleet_unbatched" "$fleet_batched" "$tcp_packet" "$tcp_fluid" \
+           "$fleet_unbatched" "$fleet_batched" "$fleet_impaired" \
+           "$tcp_packet" "$tcp_fluid" \
            "$cc_reno" "$cc_cubic" "$cc_bbr" "$bulk"; do
   if [ -z "$val" ]; then
     echo "bench_ab: missing a median in $workdir/ab.json (benchmark renamed?)" >&2
@@ -73,7 +76,7 @@ for val in "$v1_cross" "$v2_cross" "$v1_simsec" "$v2_simsec" \
 done
 
 row=$(awk -v a="$v1_cross" -v b="$v2_cross" -v c="$v1_simsec" -v d="$v2_simsec" \
-      -v e="$fleet_unbatched" -v f="$fleet_batched" \
+      -v e="$fleet_unbatched" -v f="$fleet_batched" -v m="$fleet_impaired" \
       -v g="$tcp_packet" -v h="$tcp_fluid" \
       -v i="$cc_reno" -v j="$cc_cubic" -v k="$cc_bbr" -v l="$bulk" \
       -v reps="$reps" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" 'BEGIN {
@@ -84,6 +87,7 @@ row=$(awk -v a="$v1_cross" -v b="$v2_cross" -v c="$v1_simsec" -v d="$v2_simsec" 
   printf "\"sim_second_speedup\": %.2f, ", c / d
   printf "\"probe_fleet_unbatched_ns\": %.1f, \"probe_fleet_batched_ns\": %.1f, ", e, f
   printf "\"probe_fleet_speedup\": %.2f, ", e / f
+  printf "\"probe_fleet_impaired_batched_ns\": %.1f, ", m
   printf "\"tcp_scenario_packet_ns\": %.1f, \"tcp_scenario_fluid_ns\": %.1f, ", g, h
   printf "\"tcp_scenario_speedup\": %.2f, ", g / h
   printf "\"cc_duel_reno_ns\": %.1f, \"cc_duel_cubic_ns\": %.1f, ", i, j
