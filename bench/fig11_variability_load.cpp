@@ -34,22 +34,22 @@ int main() {
   // The shared path shape (single 12.4 Mb/s hop, Pareto cross traffic,
   // 1 s warmup) lives in the registry; each point overrides only the
   // swept utilization and its seed.
-  const scenario::PaperPathConfig base =
-      *scenario::Registry::builtin().at("fig11-access").paper;
+  const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("fig11-access");
+  const core::PathloadConfig tool;  // defaults: omega = 1, chi = 1.5 Mb/s (Section VI)
 
   for (const auto& load : loads) {
     // Enumerate the points (drawing utilizations and seeds) sequentially so
     // the sweep is identical however many threads execute it.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(load.lo * 1000)};
-    std::vector<scenario::SweepPoint> points(static_cast<std::size_t>(runs));
-    for (auto& pt : points) {
-      pt.path = base;
-      pt.path.tight_utilization = rng.uniform(load.lo, load.hi);
-      pt.path.seed = rng.engine()();
-      pt.seed = pt.path.seed;
-      // pt.tool: defaults (omega = 1, chi = 1.5 Mb/s, Section VI)
+    std::vector<scenario::ScenarioSpec> specs;
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < runs; ++i) {
+      specs.push_back(base.with_load(rng.uniform(load.lo, load.hi)));
+      seeds.push_back(rng.engine()());
     }
-    const auto results = scenario::sweep_pathload(points, runner);
+    const auto results = runner.map(specs.size(), [&](std::size_t i) {
+      return scenario::run_scenario_once(specs[i], tool, seeds[i]);
+    });
     std::vector<double> rhos;
     rhos.reserve(results.size());
     for (const auto& r : results) rhos.push_back(r.range.relative_variation());

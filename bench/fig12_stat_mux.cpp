@@ -37,21 +37,22 @@ int main() {
   Table table{{"percentile", "rho(A)", "rho(B)", "rho(C)"}};
   std::vector<std::vector<double>> rho_columns;
   scenario::SweepRunner runner;
+  const core::PathloadConfig tool;
 
   for (const auto& p : paths) {
-    const scenario::PaperPathConfig base =
-        *scenario::Registry::builtin().at(p.preset).paper;
+    const scenario::ScenarioSpec& base = scenario::Registry::builtin().at(p.preset);
     // Points (utilization draws and seeds) are enumerated sequentially; only
     // the independent simulations run on the pool.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(p.capacity_mbps * 10)};
-    std::vector<scenario::SweepPoint> points(static_cast<std::size_t>(runs));
-    for (auto& pt : points) {
-      pt.path = base;
-      pt.path.tight_utilization = rng.uniform(0.60, 0.70);
-      pt.path.seed = rng.engine()();
-      pt.seed = pt.path.seed;
+    std::vector<scenario::ScenarioSpec> specs;
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < runs; ++i) {
+      specs.push_back(base.with_load(rng.uniform(0.60, 0.70)));
+      seeds.push_back(rng.engine()());
     }
-    const auto results = scenario::sweep_pathload(points, runner);
+    const auto results = runner.map(specs.size(), [&](std::size_t i) {
+      return scenario::run_scenario_once(specs[i], tool, seeds[i]);
+    });
     std::vector<double> rhos;
     rhos.reserve(results.size());
     for (const auto& r : results) rhos.push_back(r.range.relative_variation());

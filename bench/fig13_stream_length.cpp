@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -24,6 +24,7 @@ int main() {
 
   Table table{{"percentile", "rho(K=100)", "rho(K=200)", "rho(K=1000)"}};
   std::vector<std::vector<double>> rho_columns;
+  scenario::SweepRunner runner;
 
   // The path is the registry's paper-path preset collapsed to its tight
   // link (hops = 1) at 55% load (A = 4.5 Mb/s) — a single-queue avail-bw
@@ -31,22 +32,26 @@ int main() {
   // derivation preserves the preset's Pareto model and 1 s warmup, so runs
   // are byte-identical to the pre-port inline PaperPathConfig.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
+  scenario::PaperPathConfig path = *base.paper;
+  path.hops = 1;
+  path.tight_utilization = 0.55;  // A = 4.5 Mb/s
+  const scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
 
   for (int k : {100, 200, 1000}) {
+    // Draw every run's seed before any run starts, so the sweep is
+    // identical however many threads execute it.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(k)};
-    std::vector<double> rhos;
-    for (int i = 0; i < runs; ++i) {
-      scenario::PaperPathConfig path = *base.paper;
-      path.hops = 1;
-      path.tight_utilization = 0.55;  // A = 4.5 Mb/s
-      const scenario::ScenarioSpec spec =
-          scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < runs; ++i) seeds.push_back(rng.engine()());
 
-      core::PathloadConfig tool;
-      tool.packets_per_stream = k;
-      const auto result = scenario::run_scenario_once(spec, tool, rng.engine()());
-      rhos.push_back(result.range.relative_variation());
-    }
+    core::PathloadConfig tool;
+    tool.packets_per_stream = k;
+    const auto results = runner.map(seeds.size(), [&](std::size_t i) {
+      return scenario::run_scenario_once(spec, tool, seeds[i]);
+    });
+    std::vector<double> rhos;
+    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
     rho_columns.push_back(std::move(rhos));
   }
 

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -24,27 +24,31 @@ int main() {
   Table table{{"percentile", "rho(N=6)", "rho(N=12)", "rho(N=24)"}};
   std::vector<std::vector<double>> rho_columns;
   std::vector<double> spreads;
+  scenario::SweepRunner runner;
 
   // Same path derivation as bench/fig13: the paper-path preset collapsed
   // to its tight link at 55% load, byte-identical to the pre-port inline
   // PaperPathConfig.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
+  scenario::PaperPathConfig path = *base.paper;
+  path.hops = 1;
+  path.tight_utilization = 0.55;
+  const scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
 
   for (int n : {6, 12, 24}) {
+    // Seeds are drawn before any run starts (see bench/fig13).
     Rng rng{bench::seed() + static_cast<std::uint64_t>(n)};
-    std::vector<double> rhos;
-    for (int i = 0; i < runs; ++i) {
-      scenario::PaperPathConfig path = *base.paper;
-      path.hops = 1;
-      path.tight_utilization = 0.55;
-      const scenario::ScenarioSpec spec =
-          scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < runs; ++i) seeds.push_back(rng.engine()());
 
-      core::PathloadConfig tool;
-      tool.streams_per_fleet = n;
-      const auto result = scenario::run_scenario_once(spec, tool, rng.engine()());
-      rhos.push_back(result.range.relative_variation());
-    }
+    core::PathloadConfig tool;
+    tool.streams_per_fleet = n;
+    const auto results = runner.map(seeds.size(), [&](std::size_t i) {
+      return scenario::run_scenario_once(spec, tool, seeds[i]);
+    });
+    std::vector<double> rhos;
+    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
     spreads.push_back(percentile(rhos, 0.95) - percentile(rhos, 0.05));
     rho_columns.push_back(std::move(rhos));
   }

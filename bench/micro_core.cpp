@@ -350,9 +350,10 @@ void BM_SweepRunner(benchmark::State& state) {
   path.tight_utilization = 0.5;
   path.warmup = Duration::milliseconds(200);
   const core::PathloadConfig tool;
+  const auto spec = scenario::ScenarioSpec::from_paper("sweep", "", path);
   scenario::SweepRunner runner{static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    const auto rr = scenario::sweep_pathload_repeated(path, tool, 4, /*seed0=*/7, runner);
+    const auto rr = scenario::sweep_scenario_repeated(spec, tool, 4, /*seed0=*/7, runner);
     benchmark::DoNotOptimize(rr.results.data());
   }
   state.SetItemsProcessed(state.iterations() * 4);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 #include "sim/rtt_probe.hpp"
 #include "sim/traffic.hpp"
@@ -29,7 +29,7 @@ namespace {
 /// Play `rate` CBR traffic through the (already loaded) path for a while
 /// and report the 95th-percentile one-way queueing jitter the "viewer"
 /// would have to buffer for.
-double playback_jitter_ms(scenario::Testbed& bed, Rate rate) {
+double playback_jitter_ms(scenario::ScenarioInstance& bed, Rate rate) {
   auto& sim = bed.simulator();
   class Viewer final : public sim::PacketHandler {
    public:
@@ -80,7 +80,8 @@ int main() {
   network.nontight_utilization = 0.5;
   network.model = sim::Interarrival::kPareto;
 
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("streaming", "", network)};
   bed.start();
 
   // Measure.

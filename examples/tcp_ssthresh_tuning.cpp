@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/session.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 #include "tcp/reno.hpp"
 #include "util/table.hpp"
@@ -36,7 +36,8 @@ TransferStats run_transfer(double ssthresh_segments, std::uint64_t seed) {
   network.buffer_drain = Duration::milliseconds(60);
   network.model = sim::Interarrival::kPareto;
   network.seed = seed;
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("ssthresh", "", network)};
   bed.start();
 
   tcp::TcpConfig cfg;
@@ -64,7 +65,8 @@ int main() {
   network.tight_capacity = Rate::mbps(10);
   network.tight_utilization = 0.4;
   network.model = sim::Interarrival::kPareto;
-  scenario::Testbed bed{network};
+  scenario::ScenarioInstance bed{
+      scenario::ScenarioSpec::from_paper("ssthresh", "", network)};
   bed.start();
   scenario::SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadSession session{core::PathloadConfig{}};

@@ -10,7 +10,6 @@
 #include "core/config.hpp"
 #include "core/estimator.hpp"
 #include "core/session.hpp"
-#include "scenario/paper_path.hpp"
 #include "scenario/spec.hpp"
 
 namespace pathload::scenario {
@@ -40,26 +39,14 @@ struct RepeatedRuns {
   double mean_fleets() const;
 };
 
-/// Run pathload `runs` times on independent testbeds built from `path_cfg`
-/// (seeded `seed0`, `seed0`+1, ...), each on a freshly warmed-up path.
-RepeatedRuns run_pathload_repeated(const PaperPathConfig& path_cfg,
-                                   const core::PathloadConfig& tool_cfg, int runs,
-                                   std::uint64_t seed0);
-
-/// Single pathload run on a fresh testbed (convenience).
-core::PathloadResult run_pathload_once(const PaperPathConfig& path_cfg,
-                                       const core::PathloadConfig& tool_cfg,
-                                       std::uint64_t seed);
-
-/// Single pathload run on a fresh ScenarioInstance built from `spec` with
-/// its seed overridden to `seed`. For paper-derived specs this is
-/// bit-identical to run_pathload_once on the equivalent PaperPathConfig.
+/// Single pathload run on a fresh, warmed-up ScenarioInstance built from
+/// `spec` with its seed overridden to `seed`.
 core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
                                        const core::PathloadConfig& tool_cfg,
                                        std::uint64_t seed);
 
-/// `runs` independent scenario runs seeded seed0, seed0+1, ... — the
-/// registry-based analogue of run_pathload_repeated.
+/// `runs` independent scenario runs seeded seed0, seed0+1, ..., one after
+/// the other (sweep_scenario_repeated in sweep_runner.hpp shards them).
 RepeatedRuns run_scenario_repeated(const ScenarioSpec& spec,
                                    const core::PathloadConfig& tool_cfg, int runs,
                                    std::uint64_t seed0);

@@ -145,6 +145,14 @@ void validate_paper(const PaperPathConfig& cfg) {
   if (cfg.sources_per_link < 1) {
     throw SpecError{"paper.sources_per_link: must be >= 1"};
   }
+  if (cfg.total_prop_delay < Duration::zero()) {
+    throw SpecError{"paper.total_prop_delay_ms: must not be negative, got " +
+                    fmt(cfg.total_prop_delay.millis())};
+  }
+  if (cfg.buffer_drain <= Duration::zero()) {
+    throw SpecError{"paper.buffer_ms: must be positive, got " +
+                    fmt(cfg.buffer_drain.millis())};
+  }
 }
 
 [[noreturn]] void fail_hop(std::size_t hop, const std::string& field,
@@ -549,8 +557,9 @@ ScenarioSpec ScenarioSpec::from_paper(std::string name, std::string description,
   spec.seed = cfg.seed;
   spec.paper = cfg;
 
-  // Mirror Testbed's hop derivation exactly (same expressions, same order)
-  // so the hop list is a faithful description of what instantiation builds.
+  // The Fig. 4 path (Section V-A): the middle hop is the tight one, every
+  // other hop gets Cx = beta * At / (1 - ux), and the propagation delay is
+  // split evenly. Instantiation builds exactly this hop list.
   const std::size_t tight = static_cast<std::size_t>(cfg.hops / 2);
   const Duration per_hop_delay = cfg.total_prop_delay / static_cast<double>(cfg.hops);
   spec.hops.reserve(static_cast<std::size_t>(cfg.hops));
@@ -825,16 +834,14 @@ ScenarioSpec ScenarioSpec::parse(std::string_view text) {
 
 void ScenarioSpec::validate() const {
   if (name.empty()) throw SpecError{"spec is missing a name"};
-  std::size_t hop_count = 0;
-  if (paper) {
-    validate_paper(*paper);
-    hop_count = static_cast<std::size_t>(paper->hops);
-  } else {
-    if (hops.empty()) throw SpecError{"spec has no hops"};
-    if (warmup < Duration::zero()) throw SpecError{"warmup_s must not be negative"};
-    for (std::size_t i = 0; i < hops.size(); ++i) validate_hop(i, hops[i]);
-    hop_count = hops.size();
-  }
+  // Paper-form specs are checked in their own terms first (so errors name
+  // the paper.* key the user wrote), then like every spec on the hops they
+  // instantiate from.
+  if (paper) validate_paper(*paper);
+  if (hops.empty()) throw SpecError{"spec has no hops"};
+  if (warmup < Duration::zero()) throw SpecError{"warmup_s must not be negative"};
+  for (std::size_t i = 0; i < hops.size(); ++i) validate_hop(i, hops[i]);
+  const std::size_t hop_count = hops.size();
   for (std::size_t i = 0; i < flows.size(); ++i) {
     validate_flow(i, flows[i], hop_count);
   }
@@ -937,7 +944,7 @@ ScenarioSpec ScenarioSpec::with_load(double util) const {
 
 std::size_t ScenarioSpec::tight_hop() const {
   if (paper) {
-    // Testbed's convention: the middle hop, regardless of beta ties.
+    // The Fig. 4 convention: the middle hop, regardless of beta ties.
     return static_cast<std::size_t>(paper->hops / 2);
   }
   std::size_t best = 0;
@@ -953,9 +960,6 @@ std::size_t ScenarioSpec::tight_hop() const {
 }
 
 Rate ScenarioSpec::avail_bw() const {
-  // For paper specs use the paper's own formula: bit-for-bit the truth
-  // value the figure benches compare coverage against.
-  if (paper) return paper->tight_avail_bw();
   const std::size_t tight = tight_hop();
   return hops[tight].capacity * (1.0 - initial_util(hops[tight]));
 }
@@ -1018,53 +1022,6 @@ sim::FluidTcpConfig fluid_flow_config(const FlowSpec& f) {
 
 ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
   spec_.validate();
-  // Expand `flow` entries (count=N becomes N flows) against whichever
-  // backend carries the path. A spec without flows builds no flow state at
-  // all, so pre-flow scenarios stay bit-identical.
-  auto build_flows = [this] {
-    const bool fluid_engine = spec_.engine == EngineVersion::kV2;
-    for (const FlowSpec& f : spec_.flows) {
-      for (int c = 0; c < f.count; ++c) {
-        // Under v2 a `flow tcp` entry is natively a fluid rate source
-        // (the links run in fluid mode, so a packet-mode flow there pays
-        // per-segment events against fluid queues); `mode=packet` opts
-        // back into the packet-accurate Reno connection.
-        if (fluid_engine && f.mode != FlowSpec::Mode::kPacket) {
-          flows_.push_back(std::make_unique<sim::FluidTcpSource>(
-              simulator(), path(), fluid_flow_config(f)));
-        } else {
-          flows_.push_back(std::make_unique<tcp::SegmentTcpFlow>(
-              simulator(), path(), flow_config(f)));
-        }
-      }
-    }
-  };
-  // Impairments install after the path exists, identically for both
-  // backends. Links without an impair entry never get an impairment RNG, so
-  // unimpaired specs stay bit-identical to pre-impairment builds.
-  auto apply_impairments = [this] {
-    for (const ImpairSpec& imp : spec_.impairments) {
-      sim::LinkImpairments li;
-      li.loss = imp.loss;
-      li.dup = imp.dup;
-      li.reorder = Duration::milliseconds(imp.reorder_ms);
-      li.seed = imp.seed.has_value() ? *imp.seed
-                                     : derive_impair_seed(spec_.seed, imp.hop);
-      path().link(imp.hop).set_impairments(li);
-    }
-  };
-  const bool v2 = spec_.engine == EngineVersion::kV2;
-  if (spec_.paper && !v2) {
-    PaperPathConfig cfg = *spec_.paper;
-    cfg.seed = spec_.seed;
-    cfg.warmup = spec_.warmup;
-    testbed_ = std::make_unique<Testbed>(std::move(cfg));
-    tight_index_ = testbed_->tight_index();
-    apply_impairments();
-    build_flows();
-    return;
-  }
-
   sim_ = std::make_unique<sim::Simulator>();
   std::vector<sim::HopSpec> hop_specs;
   hop_specs.reserve(spec_.hops.size());
@@ -1075,15 +1032,48 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
   path_ = std::make_unique<sim::Path>(*sim_, std::move(hop_specs));
   tight_index_ = spec_.tight_hop();
 
-  if (v2) {
+  if (spec_.engine == EngineVersion::kV2) {
     build_v2_traffic();
-    apply_impairments();
-    build_flows();
-    return;
+  } else {
+    build_v1_traffic();
   }
 
-  // Seed derivation mirrors Testbed: one fork per traffic-carrying hop, in
-  // hop order, then per-source forks inside the generator. Hops without
+  // Impairments install after the path exists, identically for both
+  // engines. Links without an impair entry never get an impairment RNG, so
+  // unimpaired specs stay bit-identical to pre-impairment builds.
+  for (const ImpairSpec& imp : spec_.impairments) {
+    sim::LinkImpairments li;
+    li.loss = imp.loss;
+    li.dup = imp.dup;
+    li.reorder = Duration::milliseconds(imp.reorder_ms);
+    li.seed = imp.seed.has_value() ? *imp.seed
+                                   : derive_impair_seed(spec_.seed, imp.hop);
+    path_->link(imp.hop).set_impairments(li);
+  }
+
+  // Expand `flow` entries (count=N becomes N flows). A spec without flows
+  // builds no flow state at all, so pre-flow scenarios stay bit-identical.
+  const bool fluid_engine = spec_.engine == EngineVersion::kV2;
+  for (const FlowSpec& f : spec_.flows) {
+    for (int c = 0; c < f.count; ++c) {
+      // Under v2 a `flow tcp` entry is natively a fluid rate source (the
+      // links run in fluid mode, so a packet-mode flow there pays
+      // per-segment events against fluid queues); `mode=packet` opts back
+      // into the packet-accurate Reno connection.
+      if (fluid_engine && f.mode != FlowSpec::Mode::kPacket) {
+        flows_.push_back(
+            std::make_unique<sim::FluidTcpSource>(*sim_, *path_, fluid_flow_config(f)));
+      } else {
+        flows_.push_back(
+            std::make_unique<tcp::SegmentTcpFlow>(*sim_, *path_, flow_config(f)));
+      }
+    }
+  }
+}
+
+void ScenarioInstance::build_v1_traffic() {
+  // v1 seed derivation: one fork per traffic-carrying hop, in hop order,
+  // then per-source forks inside the generator. Hops without
   // traffic consume no randomness, so adding an unloaded hop leaves the
   // other hops' streams untouched.
   Rng rng{spec_.seed};
@@ -1148,8 +1138,6 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
       }
     }
   }
-  apply_impairments();
-  build_flows();
 }
 
 void ScenarioInstance::build_v2_traffic() {
@@ -1232,14 +1220,6 @@ void ScenarioInstance::build_v2_traffic() {
 
 ScenarioInstance::~ScenarioInstance() = default;
 
-sim::Simulator& ScenarioInstance::simulator() {
-  return testbed_ ? testbed_->simulator() : *sim_;
-}
-
-sim::Path& ScenarioInstance::path() {
-  return testbed_ ? testbed_->path() : *path_;
-}
-
 DataSize ScenarioInstance::flow_bytes_acked() const {
   DataSize total{};
   for (const auto& f : flows_) total += f->bytes_acked();
@@ -1250,10 +1230,6 @@ void ScenarioInstance::start() {
   // Flows launch first so a start_s of zero begins exactly at traffic
   // start; their events interleave with cross traffic during the warmup.
   for (auto& f : flows_) f->launch();
-  if (testbed_) {
-    testbed_->start();
-    return;
-  }
   for (auto& t : traffic_) {
     if (t) t->start();
   }

@@ -11,11 +11,12 @@
 //    docs/SCENARIOS.md for the reference and worked examples);
 //  * transforms of an existing spec (with_load for sweeps).
 //
-// ScenarioInstance turns a validated spec into a live testbed: Simulator +
-// Path + per-hop traffic generators, ready for a SimProbeChannel. For specs
-// built from the paper parameterization (PaperPathConfig), instantiation is
-// bit-identical to scenario::Testbed — the golden determinism anchors and
-// the figure benches rely on this.
+// ScenarioInstance turns a validated spec into a live simulation: Simulator
+// + Path + per-hop traffic generators, ready for a SimProbeChannel. It is
+// the only place a simulated scenario is built, and it builds from the hop
+// list alone: a spec derived from the paper parameterization
+// (PaperPathConfig) instantiates exactly like the custom spec with the same
+// hops.
 //
 // Units in specs follow the text format: capacities in Mb/s, delays and
 // buffer drain times in milliseconds, burst sizes in kilobytes, timestamps
@@ -240,13 +241,15 @@ struct ScenarioSpec {
 
   /// Set when the spec was derived from the paper's Fig. 4 parameterization.
   /// Kept so load sweeps preserve the paper's invariant that the non-tight
-  /// capacities track beta * At (with_load re-derives the whole path), and
-  /// so instantiation can reuse Testbed bit-for-bit.
+  /// capacities track beta * At (with_load re-derives the whole path), so
+  /// the tight hop stays the middle one, and so to_text emits the paper.*
+  /// form. Instantiation reads only `hops`.
   std::optional<PaperPathConfig> paper;
 
-  /// Build a spec from the paper's Fig. 4 parameterization. The resulting
-  /// spec instantiates through scenario::Testbed, so runs are bit-identical
-  /// to code that used PaperPathConfig directly.
+  /// Build a spec from the paper's Fig. 4 parameterization: `hops` gets
+  /// the derived path (tight middle hop, non-tight capacity beta * At /
+  /// (1 - ux), the delay split evenly), and `paper` keeps `cfg`. Throws
+  /// SpecError on an invalid parameterization.
   static ScenarioSpec from_paper(std::string name, std::string description,
                                  const PaperPathConfig& cfg);
 
@@ -298,17 +301,17 @@ struct ScenarioSpec {
 std::uint64_t derive_impair_seed(std::uint64_t scenario_seed, std::size_t hop);
 
 /// A live, ready-to-measure instantiation of a spec: simulator + path +
-/// per-hop traffic. The analogue of Testbed for arbitrary specs; for
-/// paper-derived specs it *is* a Testbed internally, preserving
-/// bit-identical runs.
+/// per-hop traffic, built from `spec.hops` by the spec's engine. One
+/// instance per measurement run keeps runs statistically independent and
+/// reproducible by seed.
 class ScenarioInstance {
  public:
-  /// Validates the spec (throws SpecError) and builds the testbed.
+  /// Validates the spec (throws SpecError) and builds the simulation.
   explicit ScenarioInstance(ScenarioSpec spec);
   ~ScenarioInstance();
 
-  sim::Simulator& simulator();
-  sim::Path& path();
+  sim::Simulator& simulator() { return *sim_; }
+  sim::Path& path() { return *path_; }
   const ScenarioSpec& spec() const { return spec_; }
 
   std::size_t tight_index() const { return tight_index_; }
@@ -330,18 +333,16 @@ class ScenarioInstance {
   void start();
 
  private:
-  /// Engine-v2 backend: every link in fluid mode, cross traffic from
+  /// Engine-v1 cross traffic: packet generators seeded by an Rng fork
+  /// chain over the traffic-carrying hops.
+  void build_v1_traffic();
+  /// Engine-v2 cross traffic: every link in fluid mode, sources from
   /// sim/fluid_traffic.hpp with CounterRng streams keyed (seed, hop, source).
   void build_v2_traffic();
 
   ScenarioSpec spec_;
-  // Exactly one of the two backends is set: paper-derived v1 specs delegate
-  // to Testbed (bit-compatibility); custom and engine-v2 specs build their
-  // own state (v2 always, because its links run in fluid mode and from_paper
-  // mirrors the Testbed hop derivation into spec.hops anyway). The
-  // Simulator must outlive every TimerHandle owner, hence member order —
+  // The Simulator must outlive every TimerHandle owner, hence member order —
   // flows_ last so its timers and connections die first.
-  std::unique_ptr<Testbed> testbed_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<sim::Path> path_;
   std::vector<std::unique_ptr<sim::TrafficGen>> traffic_;

@@ -74,23 +74,6 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<core::PathloadResult> sweep_pathload(const std::vector<SweepPoint>& points,
-                                                 SweepRunner& runner) {
-  return runner.map(points.size(), [&](std::size_t i) {
-    return run_pathload_once(points[i].path, points[i].tool, points[i].seed);
-  });
-}
-
-RepeatedRuns sweep_pathload_repeated(const PaperPathConfig& path_cfg,
-                                     const core::PathloadConfig& tool_cfg, int runs,
-                                     std::uint64_t seed0, SweepRunner& runner) {
-  RepeatedRuns out;
-  out.results = runner.map(static_cast<std::size_t>(runs), [&](std::size_t i) {
-    return run_pathload_once(path_cfg, tool_cfg, seed0 + i);
-  });
-  return out;
-}
-
 RepeatedRuns sweep_scenario_repeated(const ScenarioSpec& spec,
                                      const core::PathloadConfig& tool_cfg, int runs,
                                      std::uint64_t seed0, SweepRunner& runner) {

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/experiment.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -25,7 +25,7 @@ PaperPathConfig golden_config() {
 }
 
 TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
-  Testbed bed{golden_config()};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", golden_config())};
   bed.start();
   EXPECT_EQ(bed.simulator().events_processed(), 52560u);
   EXPECT_EQ(bed.simulator().next_packet_id() - 1, 17561u);
@@ -33,7 +33,8 @@ TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
 
 TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
   core::PathloadConfig tool;
-  const auto res = run_pathload_once(golden_config(), tool, 77);
+  const auto res = run_scenario_once(
+      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 77);
   EXPECT_EQ(res.range.low.bits_per_sec(), 3397806.7157649733);
   EXPECT_EQ(res.range.high.bits_per_sec(), 3964114.850317501);
   EXPECT_EQ(res.fleets, 4);
@@ -42,8 +43,10 @@ TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
 
 TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {
   core::PathloadConfig tool;
-  const auto a = run_pathload_once(golden_config(), tool, 123);
-  const auto b = run_pathload_once(golden_config(), tool, 123);
+  const auto a = run_scenario_once(
+      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 123);
+  const auto b = run_scenario_once(
+      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 123);
   EXPECT_EQ(a.range.low.bits_per_sec(), b.range.low.bits_per_sec());
   EXPECT_EQ(a.range.high.bits_per_sec(), b.range.high.bits_per_sec());
   EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos());

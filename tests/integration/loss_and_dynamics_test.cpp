@@ -2,7 +2,7 @@
 
 #include "core/session.hpp"
 #include "scenario/experiment.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 #include "util/stats.hpp"
 
@@ -19,7 +19,7 @@ TEST(LossHandling, UnderbufferedPathStillYieldsEstimate) {
   cfg.buffer_drain = Duration::milliseconds(8);  // ~10 KB buffer
   cfg.model = sim::Interarrival::kPareto;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -40,7 +40,7 @@ TEST(LossHandling, AbortedFleetsAppearInTrace) {
   cfg.buffer_drain = Duration::milliseconds(4);
   cfg.model = sim::Interarrival::kPareto;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -66,8 +66,8 @@ TEST(Dynamics, RelativeVariationGrowsWithUtilization) {
       cfg.tight_utilization = util;
       cfg.model = sim::Interarrival::kPareto;
       cfg.warmup = Duration::seconds(1);
-      const auto result =
-          run_pathload_once(cfg, core::PathloadConfig{}, 7000 + i);
+      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+                                            core::PathloadConfig{}, 7000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -86,8 +86,8 @@ TEST(Dynamics, RelativeVariationShrinksWithMultiplexing) {
       cfg.sources_per_link = sources;
       cfg.model = sim::Interarrival::kPareto;
       cfg.warmup = Duration::seconds(1);
-      const auto result =
-          run_pathload_once(cfg, core::PathloadConfig{}, 8000 + i);
+      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+                                            core::PathloadConfig{}, 8000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -107,7 +107,8 @@ TEST(Dynamics, LongerStreamsReduceMeasuredVariability) {
       cfg.warmup = Duration::seconds(1);
       core::PathloadConfig tool;
       tool.packets_per_stream = k;
-      const auto result = run_pathload_once(cfg, tool, 9000 + i);
+      const auto result = run_scenario_once(
+          ScenarioSpec::from_paper("paper", "", cfg), tool, 9000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -125,7 +126,7 @@ TEST(ClockRobustness, SessionUnaffectedByHostClockOffsets) {
     cfg.tight_utilization = 0.6;
     cfg.model = sim::Interarrival::kExponential;
     cfg.warmup = Duration::seconds(1);
-    Testbed bed{cfg};
+    ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
     bed.start();
     SimProbeChannel channel{bed.simulator(), bed.path()};
     channel.set_sender_clock_offset(snd);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tracker.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 
 namespace pathload::scenario {
@@ -14,7 +14,7 @@ TEST(TrackerOverSim, TracksSimulatedPath) {
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 
@@ -38,7 +38,7 @@ TEST(TrackerOverSim, DetectsLoadIncrease) {
   cfg.tight_utilization = 0.3;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 

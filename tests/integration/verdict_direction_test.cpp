@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/session.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
 
 namespace pathload::scenario {
@@ -20,7 +20,7 @@ TEST(VerdictDirection, FleetVerdictsConsistentWithRates) {
   cfg.beta = 2.0;
   cfg.model = sim::Interarrival::kConstant;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -55,7 +55,7 @@ TEST(VerdictDirection, StreamVotesLeanWithTheRate) {
   cfg.tight_utilization = 0.5;  // A = 5
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "scenario/experiment.hpp"
-#include "scenario/paper_path.hpp"
+#include "scenario/spec.hpp"
+#include "sim/monitor.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -20,7 +21,7 @@ TEST(PaperPathConfig, DerivedQuantities) {
 TEST(Testbed, TightLinkIsMiddleHop) {
   PaperPathConfig cfg;
   cfg.hops = 5;
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   EXPECT_EQ(bed.tight_index(), 2u);
   EXPECT_EQ(bed.path().hop_count(), 5u);
   EXPECT_EQ(bed.tight_link().capacity(), cfg.tight_capacity);
@@ -34,10 +35,10 @@ TEST(Testbed, TightLinkIsMiddleHop) {
 TEST(Testbed, RejectsBadConfig) {
   PaperPathConfig no_hops;
   no_hops.hops = 0;
-  EXPECT_THROW(Testbed{no_hops}, std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_paper("paper", "", no_hops), SpecError);
   PaperPathConfig overloaded;
   overloaded.tight_utilization = 1.0;
-  EXPECT_THROW(Testbed{overloaded}, std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_paper("paper", "", overloaded), SpecError);
 }
 
 TEST(Testbed, FluidModelMatchesTopology) {
@@ -46,11 +47,10 @@ TEST(Testbed, FluidModelMatchesTopology) {
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
   cfg.beta = 2.0;
-  Testbed bed{cfg};
-  const auto fluid = bed.fluid();
-  EXPECT_EQ(fluid.hop_count(), 3u);
-  EXPECT_EQ(fluid.avail_bw(), Rate::mbps(4));
-  EXPECT_EQ(fluid.tight_link(), bed.tight_index());
+  const ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  EXPECT_EQ(spec.hops.size(), 3u);
+  EXPECT_EQ(spec.avail_bw(), Rate::mbps(4));
+  EXPECT_EQ(spec.tight_hop(), 1u);
 }
 
 TEST(Testbed, WarmupProducesConfiguredUtilization) {
@@ -60,9 +60,11 @@ TEST(Testbed, WarmupProducesConfiguredUtilization) {
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
   cfg.warmup = Duration::seconds(1);
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
-  auto& monitor = bed.monitor_tight_link(Duration::seconds(20));
+  sim::UtilizationMonitor monitor{bed.simulator(), bed.tight_link(),
+                                  Duration::seconds(20)};
+  monitor.start();
   bed.simulator().run_for(Duration::seconds(21));
   ASSERT_FALSE(monitor.readings().empty());
   EXPECT_NEAR(monitor.readings().front().utilization, 0.6, 0.04);
@@ -74,10 +76,9 @@ TEST(Testbed, BetaOneMakesAllLinksEquallyTight) {
   cfg.beta = 1.0;
   cfg.tight_utilization = 0.6;
   cfg.nontight_utilization = 0.6;
-  Testbed bed{cfg};
-  const auto fluid = bed.fluid();
-  for (const auto& link : fluid.links()) {
-    EXPECT_EQ(link.avail_bw(), fluid.avail_bw());
+  const ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  for (const HopDecl& hop : spec.hops) {
+    EXPECT_EQ(hop.capacity * (1.0 - hop.traffic.utilization), spec.avail_bw());
   }
 }
 
@@ -85,7 +86,7 @@ TEST(Testbed, ZeroUtilizationMeansNoTraffic) {
   PaperPathConfig cfg;
   cfg.hops = 1;
   cfg.tight_utilization = 0.0;
-  Testbed bed{cfg};
+  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
   bed.start();
   bed.simulator().run_for(Duration::seconds(2));
   EXPECT_EQ(bed.tight_link().bytes_forwarded(), DataSize::bytes(0));
@@ -97,7 +98,7 @@ TEST(Testbed, SeedsGiveReproducibleTraffic) {
     cfg.hops = 1;
     cfg.seed = seed;
     cfg.warmup = Duration::seconds(2);
-    Testbed bed{cfg};
+    ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
     bed.start();
     return bed.tight_link().bytes_forwarded();
   };

@@ -1,6 +1,7 @@
 // Tests for the scenario spec format: parsing, validation diagnostics,
-// round-tripping, load transforms, and — the load-bearing one — that a
-// paper-form spec instantiates bit-identically to the hand-built Testbed.
+// round-tripping, load transforms, and instantiation. The bit-identity of
+// paper-form instantiation is pinned by tests/scenario/preset_anchor_test.cpp
+// and tests/integration/engine_determinism_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,32 @@ TEST(SpecValidate, OutOfRangeValues) {
   expect_spec_error(
       [] { ScenarioSpec::parse("name = x\npaper.tight_utilization = 1.5\n"); },
       "paper.tight_utilization");
+}
+
+TEST(SpecValidate, SpecRejectsPaperFormBadDelayBufferAndWarmup) {
+  // A negative end-to-end delay used to pass validation, then abort engine
+  // v1 (a delivery scheduled in the past) or run v2 with negative delays.
+  for (const std::string engine : {"", "engine = v2\n"}) {
+    expect_spec_error(
+        [&] {
+          ScenarioSpec::parse("name = x\n" + engine +
+                              "paper.total_prop_delay_ms = -50\n");
+        },
+        "paper.total_prop_delay_ms: must not be negative");
+  }
+  PaperPathConfig unbuffered;
+  unbuffered.buffer_drain = Duration::zero();
+  expect_spec_error([&] { ScenarioSpec::from_paper("x", "", unbuffered); },
+                    "paper.buffer_ms: must be positive");
+  // Warmup and the derived hops are checked like a custom spec's.
+  PaperPathConfig early;
+  early.warmup = Duration::seconds(-1);
+  const ScenarioSpec spec = ScenarioSpec::from_paper("x", "", early);
+  expect_spec_error([&] { spec.validate(); }, "warmup_s must not be negative");
+  expect_spec_error([&] { ScenarioInstance inst{spec}; }, "warmup_s");
+  ScenarioSpec edited = ScenarioSpec::from_paper("x", "", PaperPathConfig{});
+  edited.hops[2].delay = Duration::milliseconds(-1);
+  expect_spec_error([&] { edited.validate(); }, "hop 2: delay_ms");
 }
 
 TEST(SpecParse, OnOffAndRampDefaultToOneSource) {
@@ -437,22 +464,6 @@ TEST(SpecTransform, WithLoadPreservesPaperBetaInvariant) {
   EXPECT_EQ(custom_swept.hops[0].capacity, custom.hops[0].capacity);
   EXPECT_DOUBLE_EQ(custom_swept.hops[0].traffic.utilization, 0.25);
   expect_spec_error([&] { (void)custom.with_load(1.0); }, "must be in [0, 1)");
-}
-
-TEST(SpecInstance, PaperSpecRunsBitIdenticalToTestbed) {
-  // The keystone compatibility guarantee: a registry/spec-driven run of the
-  // paper path must replay the direct PaperPathConfig run to the last bit
-  // (same anchors as tests/integration/engine_determinism_test.cpp).
-  PaperPathConfig cfg;
-  cfg.seed = 77;
-  core::PathloadConfig tool;
-  const auto direct = run_pathload_once(cfg, tool, 77);
-  const auto via_spec =
-      run_scenario_once(ScenarioSpec::from_paper("p", "", cfg), tool, 77);
-  EXPECT_EQ(direct.range.low.bits_per_sec(), via_spec.range.low.bits_per_sec());
-  EXPECT_EQ(direct.range.high.bits_per_sec(), via_spec.range.high.bits_per_sec());
-  EXPECT_EQ(direct.elapsed.nanos(), via_spec.elapsed.nanos());
-  EXPECT_EQ(direct.fleets, via_spec.fleets);
 }
 
 TEST(SpecInstance, CustomSpecWarmupIsDeterministic) {

@@ -50,10 +50,11 @@ TEST(SweepRunner, PathloadSweepIsThreadCountInvariant) {
 
   SweepRunner serial{1};
   SweepRunner pooled{4};
-  const auto a = sweep_pathload_repeated(path, tool, 4, /*seed0=*/71, serial);
-  const auto b = sweep_pathload_repeated(path, tool, 4, /*seed0=*/71, pooled);
+  const ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", path);
+  const auto a = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, serial);
+  const auto b = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, pooled);
   // And against the sequential reference implementation.
-  const auto c = run_pathload_repeated(path, tool, 4, /*seed0=*/71);
+  const auto c = run_scenario_repeated(spec, tool, 4, /*seed0=*/71);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   ASSERT_EQ(a.results.size(), c.results.size());
