@@ -28,12 +28,11 @@ int main() {
   // The registry's paper-path preset is the topology baseline; this bench
   // collapses it to a single heavily loaded, weakly multiplexed hop.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
-  scenario::PaperPathConfig path = *base.paper;
-  path.hops = 1;
-  path.tight_utilization = 0.75;  // A = 2.5 Mb/s, heavy + bursty
-  path.sources_per_link = 4;      // low multiplexing -> strong variability
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+  scenario::ScenarioSpec spec = base;
+  spec.paper->hops = 1;
+  spec.paper->tight_utilization = 0.75;  // A = 2.5 Mb/s, heavy + bursty
+  spec.paper->sources_per_link = 4;      // low multiplexing -> strong variability
+  spec.hops = spec.paper->derive_hops();
 
   // Full algorithm at two grey resolutions.
   for (double chi : {1.5, 0.5}) {

@@ -31,9 +31,9 @@ int main() {
   path.hops = 1;
   path.tight_capacity = Rate::mbps(10);
   path.model = sim::Interarrival::kExponential;
-  path.warmup = Duration::seconds(1);
-  const auto spec = scenario::ScenarioSpec::from_paper(
+  auto spec = scenario::ScenarioSpec::from_paper(
       "single-tight", "one 10 Mb/s queue, Poisson cross traffic", path);
+  spec.warmup = Duration::seconds(1);
 
   const core::EstimatorRegistry& reg = baselines::builtin_estimators();
   const std::vector<scenario::MatrixEstimator> estimators = {

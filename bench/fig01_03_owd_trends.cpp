@@ -25,14 +25,13 @@ void probe_and_print(const char* figure, double rate_mbps, std::uint64_t seed) {
   // re-dimensions only the tight link and tightness factor to the paper's
   // Univ-Oregon -> Univ-Delaware numbers.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
-  scenario::PaperPathConfig path = *base.paper;
-  path.tight_capacity = Rate::mbps(155);
-  path.tight_utilization = 0.52;  // A ~ 74 Mb/s
-  path.beta = 1.8;
-  path.nontight_utilization = 0.5;
-  path.seed = seed;
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+  scenario::ScenarioSpec spec = base;
+  spec.paper->tight_capacity = Rate::mbps(155);
+  spec.paper->tight_utilization = 0.52;  // A ~ 74 Mb/s
+  spec.paper->beta = 1.8;
+  spec.paper->nontight_utilization = 0.5;
+  spec.hops = spec.paper->derive_hops();
+  spec.seed = seed;
 
   scenario::ScenarioInstance inst{spec};
   inst.start();

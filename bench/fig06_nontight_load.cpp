@@ -32,11 +32,10 @@ int main() {
 
   for (int hops : {3, 6}) {
     for (double ux : {0.20, 0.40, 0.60, 0.80}) {
-      scenario::PaperPathConfig path = *base.paper;
-      path.hops = hops;
-      path.nontight_utilization = ux;
-      const scenario::ScenarioSpec spec =
-          scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+      scenario::ScenarioSpec spec = base;
+      spec.paper->hops = hops;
+      spec.paper->nontight_utilization = ux;
+      spec.hops = spec.paper->derive_hops();
 
       core::PathloadConfig tool;
       const auto rr = scenario::sweep_scenario_repeated(

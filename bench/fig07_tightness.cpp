@@ -32,11 +32,10 @@ int main() {
 
   for (int hops : {3, 6}) {
     for (double beta : {1.0, 1.2, 1.5, 2.0}) {
-      scenario::PaperPathConfig path = *base.paper;
-      path.hops = hops;
-      path.beta = beta;
-      scenario::ScenarioSpec spec =
-          scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+      scenario::ScenarioSpec spec = base;
+      spec.paper->hops = hops;
+      spec.paper->beta = beta;
+      spec.hops = spec.paper->derive_hops();
 
       core::PathloadConfig tool;
       const auto rr = scenario::sweep_scenario_repeated(

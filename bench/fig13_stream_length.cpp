@@ -32,11 +32,10 @@ int main() {
   // derivation preserves the preset's Pareto model and 1 s warmup, so runs
   // are byte-identical to the pre-port inline PaperPathConfig.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
-  scenario::PaperPathConfig path = *base.paper;
-  path.hops = 1;
-  path.tight_utilization = 0.55;  // A = 4.5 Mb/s
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+  scenario::ScenarioSpec spec = base;
+  spec.paper->hops = 1;
+  spec.paper->tight_utilization = 0.55;  // A = 4.5 Mb/s
+  spec.hops = spec.paper->derive_hops();
 
   for (int k : {100, 200, 1000}) {
     // Draw every run's seed before any run starts, so the sweep is

@@ -30,11 +30,10 @@ int main() {
   // to its tight link at 55% load, byte-identical to the pre-port inline
   // PaperPathConfig.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
-  scenario::PaperPathConfig path = *base.paper;
-  path.hops = 1;
-  path.tight_utilization = 0.55;
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+  scenario::ScenarioSpec spec = base;
+  spec.paper->hops = 1;
+  spec.paper->tight_utilization = 0.55;
+  spec.hops = spec.paper->derive_hops();
 
   for (int n : {6, 12, 24}) {
     // Seeds are drawn before any run starts (see bench/fig13).

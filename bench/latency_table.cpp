@@ -31,11 +31,10 @@ int main() {
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
   for (const auto& pt : points) {
     for (double omega : {1.0, 0.5}) {
-      scenario::PaperPathConfig path = *base.paper;
-      path.tight_capacity = Rate::mbps(pt.cap);
-      path.tight_utilization = pt.util;
-      const scenario::ScenarioSpec spec =
-          scenario::ScenarioSpec::from_paper(base.name, base.description, path);
+      scenario::ScenarioSpec spec = base;
+      spec.paper->tight_capacity = Rate::mbps(pt.cap);
+      spec.paper->tight_utilization = pt.util;
+      spec.hops = spec.paper->derive_hops();
 
       core::PathloadConfig tool;
       tool.omega = Rate::mbps(omega);

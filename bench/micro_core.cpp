@@ -348,9 +348,9 @@ void BM_SweepRunner(benchmark::State& state) {
   path.hops = 1;
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
-  path.warmup = Duration::milliseconds(200);
   const core::PathloadConfig tool;
-  const auto spec = scenario::ScenarioSpec::from_paper("sweep", "", path);
+  auto spec = scenario::ScenarioSpec::from_paper("sweep", "", path);
+  spec.warmup = Duration::milliseconds(200);
   scenario::SweepRunner runner{static_cast<int>(state.range(0))};
   for (auto _ : state) {
     const auto rr = scenario::sweep_scenario_repeated(spec, tool, 4, /*seed0=*/7, runner);

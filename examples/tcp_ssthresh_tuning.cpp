@@ -35,9 +35,9 @@ TransferStats run_transfer(double ssthresh_segments, std::uint64_t seed) {
   network.tight_utilization = 0.4;  // A = 6 Mb/s
   network.buffer_drain = Duration::milliseconds(60);
   network.model = sim::Interarrival::kPareto;
-  network.seed = seed;
-  scenario::ScenarioInstance bed{
-      scenario::ScenarioSpec::from_paper("ssthresh", "", network)};
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::from_paper("ssthresh", "", network);
+  spec.seed = seed;
+  scenario::ScenarioInstance bed{std::move(spec)};
   bed.start();
 
   tcp::TcpConfig cfg;

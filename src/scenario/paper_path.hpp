@@ -1,11 +1,14 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <vector>
 
 #include "sim/traffic.hpp"
 #include "util/units.hpp"
 
 namespace pathload::scenario {
+
+struct HopDecl;  // scenario/spec.hpp
 
 /// The simulation topology of the paper's Fig. 4: an H-hop path whose
 /// middle hop is the tight link (capacity Ct, utilization ut) while all
@@ -14,12 +17,14 @@ namespace pathload::scenario {
 ///
 /// The *path tightness factor* beta = Ax / At (Eq. 10) sets how close the
 /// non-tight links' avail-bw is to the tight link's: the non-tight capacity
-/// is derived as Cx = beta * At / (1 - ux). beta = 1 with ux = ut makes
+/// is derived as Cx = beta * At / (1 - ux), so beta >= 1 keeps the middle
+/// hop tight (smaller values are rejected). beta = 1 with ux = ut makes
 /// every link a tight link (the Fig. 7 stress case).
 ///
-/// This is a parameterization, not a builder: ScenarioSpec::from_paper
-/// (scenario/spec.hpp) derives the hop list from it, and ScenarioInstance
-/// builds the simulation from that hop list.
+/// This is a path-shape generator, not a builder: derive_hops() turns it into
+/// the hop list a ScenarioSpec (scenario/spec.hpp) carries, and
+/// ScenarioInstance builds the simulation from that hop list. Seed and
+/// warmup belong to the spec.
 struct PaperPathConfig {
   int hops{3};
   Rate tight_capacity{Rate::mbps(10)};
@@ -38,15 +43,17 @@ struct PaperPathConfig {
   /// buffered to avoid losses"): buffer_bytes = C * buffer_drain.
   Duration buffer_drain{Duration::milliseconds(500)};
 
-  std::uint64_t seed{1};
-  /// Virtual time to run cross traffic before measuring, so queues reach
-  /// steady state.
-  Duration warmup{Duration::seconds(2)};
-
   Rate tight_avail_bw() const { return tight_capacity * (1.0 - tight_utilization); }
   Rate nontight_capacity() const {
     return tight_avail_bw() * beta / (1.0 - nontight_utilization);
   }
+  /// The Fig. 4 convention: the middle hop is the tight one.
+  std::size_t tight_index() const { return static_cast<std::size_t>(hops / 2); }
+
+  /// The Fig. 4 hop list (Section V-A): the tight middle hop, every other
+  /// hop with Cx = beta * At / (1 - ux), the delay split evenly. Throws
+  /// SpecError, naming the paper.* key, on an invalid parameterization.
+  std::vector<HopDecl> derive_hops() const;
 };
 
 }  // namespace pathload::scenario

@@ -28,20 +28,24 @@ namespace {
 
 Registry make_builtin() {
   Registry reg;
+  // Every paper-form preset warms up for 1 s, the figure benches' setting,
+  // so a `scenario_runner` sweep reproduces the figures byte-for-byte.
+  const auto add_paper = [&reg](const char* name, const char* description,
+                                const PaperPathConfig& cfg) {
+    ScenarioSpec spec = ScenarioSpec::from_paper(name, description, cfg);
+    spec.warmup = Duration::seconds(1);
+    reg.add(std::move(spec));
+  };
 
   // The paper's Fig. 4 simulation topology with its Section V-A defaults:
   // 3 hops, tight middle link Ct = 10 Mb/s at ut = 0.6 (A = 4 Mb/s),
-  // beta = 2, Pareto(1.9) cross traffic from 10 sources per hop. The 1 s
-  // warmup is the figure benches' setting; it is part of the preset so a
-  // `scenario_runner` sweep reproduces the figures byte-for-byte.
+  // beta = 2, Pareto(1.9) cross traffic from 10 sources per hop.
   {
     PaperPathConfig cfg;
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "paper-path",
-        "Fig. 4 topology: 3 hops, tight 10 Mb/s middle link at 60% load, "
-        "beta = 2, Pareto(1.9) cross traffic",
-        cfg));
+    add_paper("paper-path",
+              "Fig. 4 topology: 3 hops, tight 10 Mb/s middle link at 60% load, "
+              "beta = 2, Pareto(1.9) cross traffic",
+              cfg);
   }
 
   // Same path with smooth (Poisson) cross traffic — the other half of every
@@ -49,11 +53,9 @@ Registry make_builtin() {
   {
     PaperPathConfig cfg;
     cfg.model = sim::Interarrival::kExponential;
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "paper-path-poisson",
-        "Fig. 4 topology with Poisson (smooth) cross traffic",
-        cfg));
+    add_paper("paper-path-poisson",
+              "Fig. 4 topology with Poisson (smooth) cross traffic",
+              cfg);
   }
 
   // Fig. 11's access path: a single 12.4 Mb/s hop (the paper's
@@ -64,12 +66,10 @@ Registry make_builtin() {
     PaperPathConfig cfg;
     cfg.hops = 1;
     cfg.tight_capacity = Rate::mbps(12.4);
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "fig11-access",
-        "Fig. 11 path: single 12.4 Mb/s hop, Pareto(1.9) cross traffic "
-        "from 10 sources",
-        cfg));
+    add_paper("fig11-access",
+              "Fig. 11 path: single 12.4 Mb/s hop, Pareto(1.9) cross traffic "
+              "from 10 sources",
+              cfg);
   }
 
   // Fig. 12's three statistical-multiplexing paths: same ~65% utilization,
@@ -82,11 +82,9 @@ Registry make_builtin() {
     cfg.tight_capacity = Rate::mbps(155);
     cfg.tight_utilization = 0.65;
     cfg.sources_per_link = 120;
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "fig12-abilene",
-        "Fig. 12 path A: 155 Mb/s hop, 120 sources (high multiplexing)",
-        cfg));
+    add_paper("fig12-abilene",
+              "Fig. 12 path A: 155 Mb/s hop, 120 sources (high multiplexing)",
+              cfg);
   }
   {
     PaperPathConfig cfg;
@@ -94,11 +92,9 @@ Registry make_builtin() {
     cfg.tight_capacity = Rate::mbps(12.4);
     cfg.tight_utilization = 0.65;
     cfg.sources_per_link = 24;
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "fig12-crete",
-        "Fig. 12 path B: 12.4 Mb/s hop, 24 sources (medium multiplexing)",
-        cfg));
+    add_paper("fig12-crete",
+              "Fig. 12 path B: 12.4 Mb/s hop, 24 sources (medium multiplexing)",
+              cfg);
   }
   {
     PaperPathConfig cfg;
@@ -106,11 +102,9 @@ Registry make_builtin() {
     cfg.tight_capacity = Rate::mbps(6.1);
     cfg.tight_utilization = 0.65;
     cfg.sources_per_link = 6;
-    cfg.warmup = Duration::seconds(1);
-    reg.add(ScenarioSpec::from_paper(
-        "fig12-pireaus",
-        "Fig. 12 path C: 6.1 Mb/s hop, 6 sources (low multiplexing)",
-        cfg));
+    add_paper("fig12-pireaus",
+              "Fig. 12 path C: 6.1 Mb/s hop, 6 sources (low multiplexing)",
+              cfg);
   }
 
   // Tight link != narrow link (Section II): the first hop has the smallest

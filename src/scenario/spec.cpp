@@ -1,14 +1,17 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/fluid_traffic.hpp"
+#include "tcp/cong.hpp"
 #include "tcp/workload.hpp"
 #include "util/counter_rng.hpp"
 
@@ -24,12 +27,15 @@ std::string trim(std::string_view s) {
   return std::string{s.substr(b, e - b)};
 }
 
-/// One `key = value` line of a spec, with its 1-based source line for
-/// error messages.
+/// One `key = value` line, or one `key=value` token of a directive line, with
+/// its 1-based source line for error messages. `key` is what messages show
+/// ("hop.2.delay_ms", "flow rwnd"); `field` is what the key table matches
+/// ("delay_ms", "rwnd").
 struct KvLine {
   int no;
   std::string key;
   std::string value;
+  std::string field;
 };
 
 [[noreturn]] void fail(const KvLine& l, const std::string& what) {
@@ -66,15 +72,10 @@ std::uint64_t parse_u64(const KvLine& l) {
   return v;
 }
 
-TrafficModel parse_model(const KvLine& l) {
-  if (l.value == "none") return TrafficModel::kNone;
-  if (l.value == "poisson") return TrafficModel::kPoisson;
-  if (l.value == "pareto") return TrafficModel::kPareto;
-  if (l.value == "constant") return TrafficModel::kConstant;
-  if (l.value == "onoff") return TrafficModel::kOnOff;
-  if (l.value == "ramp") return TrafficModel::kRamp;
-  fail(l, "unknown traffic model '" + l.value +
-              "' (expected none|poisson|pareto|constant|onoff|ramp)");
+std::string fmt(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
 }
 
 sim::Interarrival renewal_of(TrafficModel m) {
@@ -95,11 +96,21 @@ TrafficModel model_of(sim::Interarrival m) {
   return TrafficModel::kPoisson;
 }
 
+/// Preset names: lowercase letters, digits, '-' and '_'.
+std::string parse_name(const KvLine& l) {
+  if (l.value.empty()) fail(l, "must not be empty");
+  if (l.value.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-_") !=
+      std::string::npos) {
+    fail(l, "preset names use lowercase letters, digits, '-' and '_'; got '" +
+                l.value + "'");
+  }
+  return l.value;
+}
+
 sim::PacketSizeMix parse_mix(const KvLine& l) {
   if (l.value == "paper") return sim::PacketSizeMix::paper_mix();
   if (l.value.rfind("fixed:", 0) == 0) {
-    const KvLine sub{l.no, l.key, l.value.substr(6)};
-    const int bytes = parse_int(sub);
+    const int bytes = parse_int(KvLine{l.no, l.key, l.value.substr(6), l.field});
     if (bytes <= 0) fail(l, "fixed mix size must be a positive byte count");
     return sim::PacketSizeMix::fixed(bytes);
   }
@@ -107,21 +118,337 @@ sim::PacketSizeMix parse_mix(const KvLine& l) {
 }
 
 std::string mix_to_text(const sim::PacketSizeMix& mix) {
-  if (mix.bins().size() == 1) {
-    return "fixed:" + std::to_string(mix.bins().front().size_bytes);
-  }
+  if (mix.bins().size() == 1) return "fixed:" + std::to_string(mix.bins().front().size_bytes);
   return "paper";
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+/// An impair line's `hop=i`.
+std::size_t parse_hop_index(const KvLine& l) {
+  const int idx = parse_int(l);
+  if (idx < 0 || idx > 64) fail(l, "hop index must be in [0, 64], got '" + l.value + "'");
+  return static_cast<std::size_t>(idx);
 }
 
-/// Field-level checks of a paper parameterization, shared by from_paper and
-/// validate(). Must run before any derived quantity (nontight_capacity) is
-/// touched, since ux >= 1 would divide by zero there.
+// ---------------------------------------------------------------- value kinds
+//
+// A kind converts one value between the text format and its C++ type:
+// read(line, value) parses in place, write(value) renders what read accepts.
+// An optional member is set by its key and rendered from its value.
+
+template <auto Read, auto Write>
+struct Kind {
+  static void read(const KvLine& l, auto& v) { v = Read(l); }
+  static std::string write(const auto& v) {
+    if constexpr (requires { v.has_value(); }) {
+      return Write(*v);
+    } else {
+      return Write(v);
+    }
+  }
+};
+
+template <typename V>
+std::string decimal(V v) { return std::to_string(v); }
+std::string value_of(const KvLine& l) { return l.value; }
+std::string as_is(const std::string& v) { return v; }
+
+using Num = Kind<parse_num, fmt>;
+using Int = Kind<parse_int, decimal<int>>;
+using U64 = Kind<parse_u64, decimal<std::uint64_t>>;
+using Str = Kind<value_of, as_is>;
+using Name = Kind<parse_name, as_is>;
+using Mix = Kind<parse_mix, mix_to_text>;
+using HopIndex = Kind<parse_hop_index, decimal<std::size_t>>;
+using Mbps = Kind<[](const KvLine& l) { return Rate::mbps(parse_num(l)); },
+                  [](Rate v) { return fmt(v.mbits_per_sec()); }>;
+using Millis = Kind<[](const KvLine& l) { return Duration::milliseconds(parse_num(l)); },
+                    [](Duration v) { return fmt(v.millis()); }>;
+using Secs = Kind<[](const KvLine& l) { return Duration::seconds(parse_num(l)); },
+                  [](Duration v) { return fmt(v.secs()); }>;
+
+/// An enum's text names, indexed by the enumerator; `what` and `hint` shape
+/// the unknown-value message.
+template <typename E, std::size_t N>
+struct EnumNames {
+  using Enum = E;
+  std::string_view what;
+  std::array<std::string_view, N> names;
+  std::string_view hint{};
+};
+
+constexpr EnumNames<TrafficModel, 6> kModels{
+    "traffic model", {"none", "poisson", "pareto", "constant", "onoff", "ramp"}};
+constexpr EnumNames<sim::Interarrival, 3> kRenewals{
+    "paper traffic model", {"poisson", "pareto", "constant"},
+    "use a custom hop list for onoff/ramp traffic"};
+constexpr EnumNames<EngineVersion, 2> kEngines{"engine", {"v1", "v2"}, "see docs/ENGINE.md"};
+constexpr EnumNames<FlowSpec::Mode, 2> kModes{
+    "mode", {"auto", "packet"}, "auto picks the engine's native flow backend"};
+
+template <const auto& Names>
+struct Enum {
+  using E = typename std::remove_cvref_t<decltype(Names)>::Enum;
+  static void read(const KvLine& l, E& v) {
+    std::string expected;
+    for (std::size_t i = 0; i < Names.names.size(); ++i) {
+      if (Names.names[i] == l.value) {
+        v = static_cast<E>(i);
+        return;
+      }
+      expected += std::string{i == 0 ? "" : Names.names.size() == 2 ? " or " : "|"} +
+                  std::string{Names.names[i]};
+    }
+    if (!Names.hint.empty()) expected += "; " + std::string{Names.hint};
+    fail(l, "unknown " + std::string{Names.what} + " '" + l.value + "' (expected " +
+                expected + ")");
+  }
+  static std::string write(E v) { return std::string{Names.names[static_cast<std::size_t>(v)]}; }
+};
+
+/// `hops = N` of the custom form: sizes the hop list.
+struct HopCount {
+  static void read(const KvLine& l, ScenarioSpec& s) {
+    const int n = parse_int(l);
+    if (n < 1 || n > 64) fail(l, "must be in [1, 64], got " + l.value);
+    s.hops.resize(static_cast<std::size_t>(n));
+  }
+  static std::string write(const ScenarioSpec& s) { return std::to_string(s.hops.size()); }
+};
+
+/// `traffic.model`. On/off and ramp hops default to one source (a single
+/// bursty or ramping aggregate); traffic.sources comes later in the table,
+/// so an explicit value still wins.
+struct Model {
+  static void read(const KvLine& l, TrafficSpec& t) {
+    Enum<kModels>::read(l, t.model);
+    if (t.model == TrafficModel::kOnOff || t.model == TrafficModel::kRamp) t.sources = 1;
+  }
+  static std::string write(const TrafficSpec& t) { return Enum<kModels>::write(t.model); }
+};
+
+/// A flow's `hops=i` or `hops=i-j` segment (rendered resolved, `i-j`).
+struct HopRange {
+  static void read(const KvLine& l, FlowSpec& f) {
+    const auto index = [&](const std::string& s) -> std::size_t {
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long v = std::strtoul(s.c_str(), &end, 10);
+      // The overflow check matters: strtoul clamps to ULONG_MAX, which would
+      // otherwise alias Segment::kPathEnd and validate as "whole path".
+      if (s.empty() || s[0] == '-' || end == s.c_str() || *end != '\0' ||
+          errno == ERANGE || v > 64) {
+        fail(l, "hops expects <hop> or <first>-<last> with hop indices in [0, 64], "
+                "got '" + l.value + "'");
+      }
+      return static_cast<std::size_t>(v);
+    };
+    const auto dash = l.value.find('-');
+    f.first_hop = index(l.value.substr(0, dash));
+    f.last_hop = dash == std::string::npos ? f.first_hop : index(l.value.substr(dash + 1));
+  }
+  static std::string write(const FlowSpec& f) {
+    return std::to_string(f.first_hop) + "-" + std::to_string(f.last_hop);
+  }
+};
+
+// ------------------------------------------------------------------ key table
+
+/// One key of the text format: its name, how it parses into and renders
+/// from the object it configures, and when to_text emits it (null: always).
+template <typename T>
+struct Key {
+  std::string_view name;
+  void (*parse)(T&, const KvLine&);
+  std::string (*write)(const T&);
+  bool (*emit_if)(const T&);
+};
+
+/// Key factories for one object type. `Member...` is the member path from T
+/// to the value (empty when the kind reads the whole object).
+template <typename T>
+struct Keys {
+  template <typename Kind, auto... Member>
+  static constexpr Key<T> key(std::string_view name, bool (*emit_if)(const T&) = nullptr) {
+    return {name, [](T& t, const KvLine& l) { Kind::read(l, (t .* ... .* Member)); },
+            [](const T& t) { return Kind::write((t .* ... .* Member)); }, emit_if};
+  }
+  /// A key emitted only when its value differs from the default.
+  template <typename Kind, auto... Member>
+  static constexpr Key<T> opt(std::string_view name) {
+    return key<Kind, Member...>(name, [](const T& t) {
+      return (t .* ... .* Member) != (T{} .* ... .* Member);
+    });
+  }
+};
+
+using S = Keys<ScenarioSpec>;
+constexpr Key<ScenarioSpec> kTopKeys[] = {
+    S::key<Name, &ScenarioSpec::name>("name"),
+    S::opt<Str, &ScenarioSpec::description>("description"),
+    // v1 is implicit: emitting the line only for v2 keeps every pre-engine
+    // preset text, golden spec file, and shard round-trip byte-identical.
+    S::opt<Enum<kEngines>, &ScenarioSpec::engine>("engine"),
+    S::key<U64, &ScenarioSpec::seed>("seed"),
+    S::key<Secs, &ScenarioSpec::warmup>("warmup_s"),
+    S::key<HopCount>("hops", [](const ScenarioSpec& s) { return !s.paper; }),
+};
+
+using P = Keys<PaperPathConfig>;
+constexpr Key<PaperPathConfig> kPaperKeys[] = {
+    P::key<Int, &PaperPathConfig::hops>("hops"),
+    P::key<Mbps, &PaperPathConfig::tight_capacity>("tight_capacity_mbps"),
+    P::key<Num, &PaperPathConfig::tight_utilization>("tight_utilization"),
+    P::key<Num, &PaperPathConfig::beta>("beta"),
+    P::key<Num, &PaperPathConfig::nontight_utilization>("nontight_utilization"),
+    P::key<Enum<kRenewals>, &PaperPathConfig::model>("traffic"),
+    P::key<Num, &PaperPathConfig::pareto_alpha>("pareto_alpha"),
+    P::key<Int, &PaperPathConfig::sources_per_link>("sources_per_link"),
+    P::key<Millis, &PaperPathConfig::total_prop_delay>("total_prop_delay_ms"),
+    P::key<Millis, &PaperPathConfig::buffer_drain>("buffer_ms"),
+};
+
+bool loaded(const HopDecl& h) { return h.traffic.model != TrafficModel::kNone; }
+template <TrafficModel M>
+bool is(const HopDecl& h) { return h.traffic.model == M; }
+bool ramps_back(const HopDecl& h) {
+  return is<TrafficModel::kRamp>(h) && h.traffic.has_ramp_back();
+}
+
+// Table order is parse order (traffic.model before traffic.sources) and
+// to_text order.
+using H = Keys<HopDecl>;
+using TS = TrafficSpec;
+constexpr auto kT = &HopDecl::traffic;
+constexpr Key<HopDecl> kHopKeys[] = {
+    H::key<Mbps, &HopDecl::capacity>("capacity_mbps"),
+    H::key<Millis, &HopDecl::delay>("delay_ms"),
+    H::key<Millis, &HopDecl::buffer_drain>("buffer_ms"),
+    H::key<Model, kT>("traffic.model"),
+    H::key<Num, kT, &TS::utilization>("traffic.utilization", loaded),
+    H::key<Int, kT, &TS::sources>("traffic.sources", loaded),
+    H::key<Mix, kT, &TS::mix>("traffic.mix", loaded),
+    H::key<Num, kT, &TS::pareto_alpha>("traffic.pareto_alpha", is<TrafficModel::kPareto>),
+    H::key<Num, kT, &TS::peak_utilization>("traffic.peak_utilization", is<TrafficModel::kOnOff>),
+    H::key<Num, kT, &TS::mean_burst_kb>("traffic.mean_burst_kb", is<TrafficModel::kOnOff>),
+    H::key<Num, kT, &TS::burst_alpha>("traffic.burst_alpha", is<TrafficModel::kOnOff>),
+    H::key<Num, kT, &TS::end_utilization>("traffic.end_utilization", is<TrafficModel::kRamp>),
+    H::key<Num, kT, &TS::ramp_start_s>("traffic.ramp_start_s", is<TrafficModel::kRamp>),
+    H::key<Num, kT, &TS::ramp_end_s>("traffic.ramp_end_s", is<TrafficModel::kRamp>),
+    H::key<Num, kT, &TS::ramp_back_start_s>("traffic.ramp_back_start_s", ramps_back),
+    H::key<Num, kT, &TS::ramp_back_end_s>("traffic.ramp_back_end_s", ramps_back),
+};
+
+using F = Keys<FlowSpec>;
+constexpr Key<FlowSpec> kFlowKeys[] = {
+    F::key<HopRange>("hops"),
+    F::opt<Num, &FlowSpec::rwnd>("rwnd"),
+    F::opt<Int, &FlowSpec::count>("count"),
+    F::opt<Num, &FlowSpec::start_s>("start_s"),
+    F::opt<Num, &FlowSpec::stop_s>("stop_s"),
+    F::opt<Num, &FlowSpec::on_s>("on_s"),
+    F::opt<Num, &FlowSpec::off_s>("off_s"),
+    F::opt<Int, &FlowSpec::mss_bytes>("mss"),
+    F::opt<Num, &FlowSpec::reverse_ms>("reverse_ms"),
+    F::opt<Enum<kModes>, &FlowSpec::mode>("mode"),
+    F::opt<Str, &FlowSpec::cc>("cc"),
+};
+
+using I = Keys<ImpairSpec>;
+constexpr Key<ImpairSpec> kImpairKeys[] = {
+    I::key<HopIndex, &ImpairSpec::hop>("hop"),
+    I::opt<Num, &ImpairSpec::loss>("loss"),
+    I::opt<Num, &ImpairSpec::dup>("dup"),
+    I::opt<Num, &ImpairSpec::reorder_ms>("reorder_ms"),
+    I::opt<U64, &ImpairSpec::seed>("seed"),
+};
+
+/// Apply one object's lines to `obj` in table order. `what` names the key
+/// family in the unknown-key message; `more` lists what else is accepted.
+template <typename T, std::size_t N>
+void parse_keys(const Key<T> (&keys)[N], const std::vector<KvLine>& lines, T& obj,
+                const std::string& what, const std::string& more = {}) {
+  for (const KvLine& l : lines) {
+    if (std::none_of(keys, keys + N, [&](const Key<T>& k) { return k.name == l.field; })) {
+      std::string expected;
+      for (const Key<T>& k : keys) {
+        expected += (expected.empty() ? "" : ", ") + std::string{k.name};
+      }
+      if (!more.empty()) expected += ", " + more;
+      fail(l, "unknown " + what + " '" + l.field + "' (expected " + expected + ")");
+    }
+  }
+  for (const Key<T>& k : keys) {
+    bool seen = false;
+    for (const KvLine& l : lines) {
+      if (l.field != k.name) continue;
+      if (seen) fail(l, "duplicate key '" + l.field + "'");
+      seen = true;
+      k.parse(obj, l);
+    }
+  }
+}
+
+/// Render `obj`'s keys: `<prefix><name><eq><value><end>` per emitted key.
+template <typename T, std::size_t N>
+void write_keys(std::string& out, const Key<T> (&keys)[N], const T& obj,
+                const std::string& prefix, std::string_view eq = " = ",
+                std::string_view end = "\n") {
+  for (const Key<T>& k : keys) {
+    if (k.emit_if && !k.emit_if(obj)) continue;
+    out += prefix;
+    out += k.name;
+    out += eq;
+    out += k.write(obj);
+    out += end;
+  }
+}
+
+/// The `key=value` tokens of a `flow` / `impair` directive body.
+std::vector<KvLine> directive_tokens(int no, const std::string& directive,
+                                     std::istringstream& in) {
+  std::vector<KvLine> out;
+  std::string tok;
+  while (in >> tok) {
+    const auto eq = tok.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      fail(KvLine{no, directive, "", ""}, "expected key=value, got '" + tok + "'");
+    }
+    const std::string field = tok.substr(0, eq);
+    out.push_back(KvLine{no, directive + " " + field, tok.substr(eq + 1), field});
+  }
+  return out;
+}
+
+/// Parse one `flow <kind> key=value ...` directive body (everything after
+/// the `flow` token). Field-level range checks live in validate_flow so
+/// C++-built specs get the same diagnostics.
+FlowSpec parse_flow_line(int no, const std::string& body) {
+  std::istringstream in{body};
+  const KvLine line{no, "flow", "", ""};
+  std::string kind;
+  if (!(in >> kind)) fail(line, "expected 'flow <kind> key=value ...' (kinds: tcp)");
+  if (kind != "tcp") fail(line, "unknown flow kind '" + kind + "' (expected tcp)");
+  FlowSpec flow;
+  parse_keys(kFlowKeys, directive_tokens(no, "flow", in), flow, "key");
+  return flow;
+}
+
+/// Parse one `impair key=value ...` directive body. Range checks live in
+/// validate_impair so C++-built specs get the same diagnostics.
+ImpairSpec parse_impair_line(int no, const std::string& body) {
+  std::istringstream in{body};
+  ImpairSpec imp;
+  imp.hop = sim::Segment::kPathEnd;  // no valid hop= value parses to this
+  parse_keys(kImpairKeys, directive_tokens(no, "impair", in), imp, "key");
+  if (imp.hop == sim::Segment::kPathEnd) {
+    fail(KvLine{no, "impair", "", ""}, "hop= is required (which hop's link to impair)");
+  }
+  return imp;
+}
+
+/// Field-level checks of a paper parameterization, shared by derive_hops
+/// and validate(). Must run before any derived quantity (nontight_capacity)
+/// is touched, since ux >= 1 would divide by zero there.
 void validate_paper(const PaperPathConfig& cfg) {
   if (cfg.hops < 1) throw SpecError{"paper.hops: need at least one hop"};
   if (cfg.tight_capacity <= Rate::zero()) {
@@ -135,8 +462,11 @@ void validate_paper(const PaperPathConfig& cfg) {
     throw SpecError{"paper.nontight_utilization: must be in [0, 1), got " +
                     fmt(cfg.nontight_utilization)};
   }
-  if (cfg.beta <= 0.0) {
-    throw SpecError{"paper.beta: must be positive, got " + fmt(cfg.beta)};
+  // Below 1 a non-tight hop has less avail-bw than the middle one, which
+  // the paper form (and tight_hop()) takes as the tight link.
+  if (cfg.beta < 1.0) {
+    throw SpecError{"paper.beta: must be >= 1 (beta = Ax/At, Eq. 10), got " +
+                    fmt(cfg.beta)};
   }
   if (cfg.model == sim::Interarrival::kPareto && cfg.pareto_alpha <= 1.0) {
     throw SpecError{"paper.pareto_alpha: must be > 1 for a finite mean, got " +
@@ -252,104 +582,6 @@ double initial_util(const HopDecl& h) {
   return h.traffic.model == TrafficModel::kNone ? 0.0 : h.traffic.utilization;
 }
 
-[[noreturn]] void fail_flow_line(int no, const std::string& what) {
-  throw SpecError{"line " + std::to_string(no) + ": flow: " + what};
-}
-
-/// Parse the `i` or `i-j` value of a flow's hops= key.
-void parse_flow_hops(int no, const std::string& value, FlowSpec& flow) {
-  auto parse_index = [&](const std::string& s) -> std::size_t {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    // The overflow check matters: strtoul clamps to ULONG_MAX, which would
-    // otherwise alias Segment::kPathEnd and validate as "whole path".
-    if (s.empty() || s[0] == '-' || end == s.c_str() || *end != '\0' ||
-        errno == ERANGE || v > 64) {
-      fail_flow_line(no, "hops expects <hop> or <first>-<last> with "
-                         "hop indices in [0, 64], got '" + value + "'");
-    }
-    return static_cast<std::size_t>(v);
-  };
-  const auto dash = value.find('-');
-  if (dash == std::string::npos) {
-    flow.first_hop = flow.last_hop = parse_index(value);
-  } else {
-    flow.first_hop = parse_index(value.substr(0, dash));
-    flow.last_hop = parse_index(value.substr(dash + 1));
-  }
-}
-
-/// Parse one `flow <kind> key=value ...` directive body (everything after
-/// the `flow` token). Field-level range checks live in validate_flow so
-/// C++-built specs get the same diagnostics.
-FlowSpec parse_flow_line(int no, const std::string& body) {
-  std::istringstream in{body};
-  std::string tok;
-  if (!(in >> tok)) {
-    fail_flow_line(no, "expected 'flow <kind> key=value ...' (kinds: tcp)");
-  }
-  if (tok != "tcp") {
-    fail_flow_line(no, "unknown flow kind '" + tok + "' (expected tcp)");
-  }
-  FlowSpec flow;
-  std::set<std::string> seen;
-  while (in >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail_flow_line(no, "expected key=value, got '" + tok + "'");
-    }
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (!seen.insert(key).second) {
-      fail_flow_line(no, "duplicate key '" + key + "'");
-    }
-    const KvLine kv{no, "flow " + key, value};
-    if (key == "hops") {
-      parse_flow_hops(no, value, flow);
-    } else if (key == "rwnd") {
-      flow.rwnd = parse_num(kv);
-    } else if (key == "count") {
-      flow.count = parse_int(kv);
-    } else if (key == "start_s") {
-      flow.start_s = parse_num(kv);
-    } else if (key == "stop_s") {
-      flow.stop_s = parse_num(kv);
-    } else if (key == "on_s") {
-      flow.on_s = parse_num(kv);
-    } else if (key == "off_s") {
-      flow.off_s = parse_num(kv);
-    } else if (key == "mss") {
-      flow.mss_bytes = parse_int(kv);
-    } else if (key == "reverse_ms") {
-      flow.reverse_ms = parse_num(kv);
-    } else if (key == "mode") {
-      if (value == "auto") {
-        flow.mode = FlowSpec::Mode::kAuto;
-      } else if (value == "packet") {
-        flow.mode = FlowSpec::Mode::kPacket;
-      } else {
-        fail_flow_line(no, "unknown mode '" + value +
-                               "' (expected auto or packet; auto picks the "
-                               "engine's native flow backend)");
-      }
-    } else if (key == "cc") {
-      if (value == "reno" || value == "reno-rfc" || value == "cubic" ||
-          value == "bbr") {
-        flow.cc = value;
-      } else {
-        fail_flow_line(no, "unknown cc '" + value +
-                               "' (expected reno, reno-rfc, cubic, or bbr)");
-      }
-    } else {
-      fail_flow_line(no, "unknown key '" + key +
-                             "' (expected hops, rwnd, count, start_s, stop_s, "
-                             "on_s, off_s, mss, reverse_ms, mode, cc)");
-    }
-  }
-  return flow;
-}
-
 [[noreturn]] void fail_flow(std::size_t flow, const std::string& field,
                             const std::string& what) {
   throw SpecError{"flow " + std::to_string(flow) + ": " + field + ": " + what};
@@ -398,82 +630,15 @@ void validate_flow(std::size_t i, const FlowSpec& f, std::size_t hop_count) {
   if (f.reverse_ms < 0.0) {
     fail_flow(i, "reverse_ms", "must not be negative, got " + fmt(f.reverse_ms));
   }
-  if (f.cc != "reno" && f.cc != "reno-rfc" && f.cc != "cubic" && f.cc != "bbr") {
-    fail_flow(i, "cc", "unknown policy '" + f.cc +
-                           "' (expected reno, reno-rfc, cubic, or bbr)");
-  }
-}
-
-/// Render one flow entry as the directive line parse_flow_line accepts;
-/// defaults are omitted so presets stay terse, and the hop range is printed
-/// resolved so a rendered spec is self-describing.
-std::string flow_to_text(const FlowSpec& f, std::size_t hop_count) {
-  const std::size_t last =
-      f.last_hop == sim::Segment::kPathEnd ? hop_count - 1 : f.last_hop;
-  std::string out = "flow tcp hops=" + std::to_string(f.first_hop) + "-" +
-                    std::to_string(last);
-  if (f.rwnd.has_value()) out += " rwnd=" + fmt(*f.rwnd);
-  if (f.count != 1) out += " count=" + std::to_string(f.count);
-  if (f.start_s != 0.0) out += " start_s=" + fmt(f.start_s);
-  if (f.stop_s.has_value()) out += " stop_s=" + fmt(*f.stop_s);
-  if (f.on_s.has_value()) out += " on_s=" + fmt(*f.on_s);
-  if (f.off_s.has_value()) out += " off_s=" + fmt(*f.off_s);
-  if (f.mss_bytes != 1460) out += " mss=" + std::to_string(f.mss_bytes);
-  if (f.reverse_ms != 50.0) out += " reverse_ms=" + fmt(f.reverse_ms);
-  if (f.mode == FlowSpec::Mode::kPacket) out += " mode=packet";
-  if (f.cc != "reno") out += " cc=" + f.cc;
-  out += "\n";
-  return out;
-}
-
-[[noreturn]] void fail_impair_line(int no, const std::string& what) {
-  throw SpecError{"line " + std::to_string(no) + ": impair: " + what};
-}
-
-/// Parse one `impair key=value ...` directive body (everything after the
-/// `impair` token). Range checks live in validate_impair so C++-built specs
-/// get the same diagnostics.
-ImpairSpec parse_impair_line(int no, const std::string& body) {
-  std::istringstream in{body};
-  std::string tok;
-  ImpairSpec imp;
-  bool hop_set = false;
-  std::set<std::string> seen;
-  while (in >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail_impair_line(no, "expected key=value, got '" + tok + "'");
+  const auto& ccs = tcp::congestion_ops_names();
+  if (std::find(ccs.begin(), ccs.end(), f.cc) == ccs.end()) {
+    std::string expected;
+    for (std::size_t k = 0; k < ccs.size(); ++k) {
+      expected += std::string{k == 0 ? "" : k + 1 < ccs.size() ? ", " : ", or "} +
+                  std::string{ccs[k]};
     }
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (!seen.insert(key).second) {
-      fail_impair_line(no, "duplicate key '" + key + "'");
-    }
-    const KvLine kv{no, "impair " + key, value};
-    if (key == "hop") {
-      const int idx = parse_int(kv);
-      if (idx < 0 || idx > 64) {
-        fail_impair_line(no, "hop index must be in [0, 64], got '" + value + "'");
-      }
-      imp.hop = static_cast<std::size_t>(idx);
-      hop_set = true;
-    } else if (key == "loss") {
-      imp.loss = parse_num(kv);
-    } else if (key == "dup") {
-      imp.dup = parse_num(kv);
-    } else if (key == "reorder_ms") {
-      imp.reorder_ms = parse_num(kv);
-    } else if (key == "seed") {
-      imp.seed = parse_u64(kv);
-    } else {
-      fail_impair_line(no, "unknown key '" + key +
-                               "' (expected hop, loss, dup, reorder_ms, seed)");
-    }
+    fail_flow(i, "cc", "unknown cc '" + f.cc + "' (expected " + expected + ")");
   }
-  if (!hop_set) {
-    fail_impair_line(no, "hop= is required (which hop's link to impair)");
-  }
-  return imp;
 }
 
 [[noreturn]] void fail_impair(std::size_t entry, const std::string& field,
@@ -504,18 +669,6 @@ void validate_impair(std::size_t i, const ImpairSpec& imp, std::size_t hop_count
   }
 }
 
-/// Render one impairment as the directive line parse_impair_line accepts;
-/// zero knobs are omitted so presets stay terse.
-std::string impair_to_text(const ImpairSpec& imp) {
-  std::string out = "impair hop=" + std::to_string(imp.hop);
-  if (imp.loss != 0.0) out += " loss=" + fmt(imp.loss);
-  if (imp.dup != 0.0) out += " dup=" + fmt(imp.dup);
-  if (imp.reorder_ms != 0.0) out += " reorder_ms=" + fmt(imp.reorder_ms);
-  if (imp.seed.has_value()) out += " seed=" + std::to_string(*imp.seed);
-  out += "\n";
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t derive_impair_seed(std::uint64_t scenario_seed, std::size_t hop) {
@@ -528,306 +681,153 @@ std::uint64_t derive_impair_seed(std::uint64_t scenario_seed, std::size_t hop) {
 }
 
 std::string_view to_string(EngineVersion v) {
-  switch (v) {
-    case EngineVersion::kV1: return "v1";
-    case EngineVersion::kV2: return "v2";
-  }
-  return "?";
+  return kEngines.names[static_cast<std::size_t>(v)];
 }
 
 std::string_view to_string(TrafficModel m) {
-  switch (m) {
-    case TrafficModel::kNone: return "none";
-    case TrafficModel::kPoisson: return "poisson";
-    case TrafficModel::kPareto: return "pareto";
-    case TrafficModel::kConstant: return "constant";
-    case TrafficModel::kOnOff: return "onoff";
-    case TrafficModel::kRamp: return "ramp";
-  }
-  return "?";
+  return kModels.names[static_cast<std::size_t>(m)];
+}
+
+std::vector<std::string> spec_key_names() {
+  std::vector<std::string> out;
+  const auto add = [&](const auto& keys, const std::string& prefix) {
+    for (const auto& k : keys) out.push_back(prefix + std::string{k.name});
+  };
+  add(kTopKeys, "");
+  add(kPaperKeys, "paper.");
+  add(kHopKeys, "hop.<i>.");
+  add(kFlowKeys, "flow ");
+  add(kImpairKeys, "impair ");
+  return out;
+}
+
+std::vector<HopDecl> PaperPathConfig::derive_hops() const {
+  validate_paper(*this);
+  const HopDecl nontight{.capacity = nontight_capacity(),
+                         .delay = total_prop_delay / static_cast<double>(hops),
+                         .buffer_drain = buffer_drain,
+                         .traffic = {.model = model_of(model),
+                                     .utilization = nontight_utilization,
+                                     .sources = sources_per_link,
+                                     .pareto_alpha = pareto_alpha,
+                                     .mix = size_mix}};
+  std::vector<HopDecl> out(static_cast<std::size_t>(hops), nontight);
+  HopDecl& tight = out[tight_index()];
+  tight.capacity = tight_capacity;
+  tight.traffic.utilization = tight_utilization;
+  return out;
 }
 
 ScenarioSpec ScenarioSpec::from_paper(std::string name, std::string description,
                                       const PaperPathConfig& cfg) {
-  validate_paper(cfg);
   ScenarioSpec spec;
   spec.name = std::move(name);
   spec.description = std::move(description);
-  spec.warmup = cfg.warmup;
-  spec.seed = cfg.seed;
+  spec.hops = cfg.derive_hops();
   spec.paper = cfg;
-
-  // The Fig. 4 path (Section V-A): the middle hop is the tight one, every
-  // other hop gets Cx = beta * At / (1 - ux), and the propagation delay is
-  // split evenly. Instantiation builds exactly this hop list.
-  const std::size_t tight = static_cast<std::size_t>(cfg.hops / 2);
-  const Duration per_hop_delay = cfg.total_prop_delay / static_cast<double>(cfg.hops);
-  spec.hops.reserve(static_cast<std::size_t>(cfg.hops));
-  for (int i = 0; i < cfg.hops; ++i) {
-    const bool is_tight = static_cast<std::size_t>(i) == tight;
-    HopDecl hop;
-    hop.capacity = is_tight ? cfg.tight_capacity : cfg.nontight_capacity();
-    hop.delay = per_hop_delay;
-    hop.buffer_drain = cfg.buffer_drain;
-    hop.traffic.model = model_of(cfg.model);
-    hop.traffic.utilization =
-        is_tight ? cfg.tight_utilization : cfg.nontight_utilization;
-    hop.traffic.sources = cfg.sources_per_link;
-    hop.traffic.pareto_alpha = cfg.pareto_alpha;
-    hop.traffic.mix = cfg.size_mix;
-    spec.hops.push_back(std::move(hop));
-  }
   return spec;
 }
 
 ScenarioSpec ScenarioSpec::parse(std::string_view text) {
-  std::vector<KvLine> lines;
-  // `flow` / `impair` directive lines (1-based line number + body after the
-  // keyword); unlike keys they may repeat, one line per entry.
-  std::vector<std::pair<int, std::string>> flow_lines;
-  std::vector<std::pair<int, std::string>> impair_lines;
-  std::set<std::string> seen;
-  {
-    std::istringstream in{std::string{text}};
-    std::string raw;
-    int no = 0;
-    while (std::getline(in, raw)) {
-      ++no;
-      if (const auto hash = raw.find('#'); hash != std::string::npos) {
-        raw.erase(hash);
-      }
-      const std::string stripped = trim(raw);
-      if (stripped.empty()) continue;
-      if (stripped.rfind("flow", 0) == 0 &&
-          (stripped.size() == 4 ||
-           std::isspace(static_cast<unsigned char>(stripped[4])))) {
-        flow_lines.emplace_back(no, stripped.substr(4));
-        continue;
-      }
-      if (stripped.rfind("impair", 0) == 0 &&
-          (stripped.size() == 6 ||
-           std::isspace(static_cast<unsigned char>(stripped[6])))) {
-        impair_lines.emplace_back(no, stripped.substr(6));
-        continue;
-      }
-      const auto eq = stripped.find('=');
-      if (eq == std::string::npos) {
-        throw SpecError{"line " + std::to_string(no) +
-                        ": expected 'key = value', got '" + stripped + "'"};
-      }
-      KvLine l{no, trim(stripped.substr(0, eq)), trim(stripped.substr(eq + 1))};
-      if (l.key.empty()) {
-        throw SpecError{"line " + std::to_string(no) + ": empty key before '='"};
-      }
-      if (!seen.insert(l.key).second) {
-        throw SpecError{"line " + std::to_string(no) + ": duplicate key '" +
-                        l.key + "'"};
-      }
-      lines.push_back(std::move(l));
+  // Lines grouped by what they configure; `flow` / `impair` directive
+  // bodies (after the keyword) may repeat, one line per entry.
+  std::vector<KvLine> top, paper_lines, hop_lines;
+  std::vector<std::pair<int, std::string>> flow_lines, impair_lines;
+  std::istringstream in{std::string{text}};
+  std::string raw;
+  for (int no = 1; std::getline(in, raw); ++no) {
+    if (const auto hash = raw.find('#'); hash != std::string::npos) raw.erase(hash);
+    const std::string stripped = trim(raw);
+    if (stripped.empty()) continue;
+    const std::string word = stripped.substr(0, stripped.find_first_of(" \t\v\f\r"));
+    if (word == "flow" || word == "impair") {
+      (word == "flow" ? flow_lines : impair_lines)
+          .emplace_back(no, stripped.substr(word.size()));
+      continue;
+    }
+    const auto eq = stripped.find('=');
+    if (eq == std::string::npos) {
+      throw SpecError{"line " + std::to_string(no) + ": expected 'key = value', got '" +
+                      stripped + "'"};
+    }
+    KvLine l{no, trim(stripped.substr(0, eq)), trim(stripped.substr(eq + 1)), ""};
+    if (l.key.empty()) {
+      throw SpecError{"line " + std::to_string(no) + ": empty key before '='"};
+    }
+    if (l.key.rfind("paper.", 0) == 0) {
+      l.field = l.key.substr(6);
+      paper_lines.push_back(std::move(l));
+    } else if (l.key.rfind("hop.", 0) == 0) {
+      hop_lines.push_back(std::move(l));
+    } else {
+      l.field = l.key;
+      top.push_back(std::move(l));
     }
   }
 
-  const bool paper_mode = std::any_of(lines.begin(), lines.end(), [](const KvLine& l) {
-    return l.key.rfind("paper.", 0) == 0;
-  });
-  const bool custom_mode = std::any_of(lines.begin(), lines.end(), [](const KvLine& l) {
-    return l.key == "hops" || l.key.rfind("hop.", 0) == 0;
-  });
-  if (paper_mode && custom_mode) {
+  ScenarioSpec spec;
+  parse_keys(kTopKeys, top, spec, "key", "hop.<i>.*, paper.*");
+  const bool custom = !spec.hops.empty() || !hop_lines.empty();
+  if (!paper_lines.empty() && custom) {
     throw SpecError{
         "spec mixes paper.* keys with hops/hop.* keys; use one form "
         "(paper.* for the Fig. 4 parameterization, hops/hop.* for a custom path)"};
   }
-  if (!paper_mode && !custom_mode) {
+  if (paper_lines.empty() && !custom) {
     throw SpecError{
         "spec declares no path: set either 'hops = N' plus hop.<i>.* keys, "
         "or paper.* keys (see docs/SCENARIOS.md)"};
   }
-
-  ScenarioSpec spec;
-  PaperPathConfig pcfg;
-
-  int hop_count = 0;
-  if (custom_mode) {
-    const auto hops_line = std::find_if(lines.begin(), lines.end(),
-                                        [](const KvLine& l) { return l.key == "hops"; });
-    if (hops_line == lines.end()) {
-      throw SpecError{"hop.* keys present but 'hops = N' is missing"};
-    }
-    hop_count = parse_int(*hops_line);
-    if (hop_count < 1 || hop_count > 64) {
-      fail(*hops_line, "must be in [1, 64], got " + hops_line->value);
-    }
-    spec.hops.resize(static_cast<std::size_t>(hop_count));
+  if (custom && spec.hops.empty()) {
+    throw SpecError{"hop.* keys present but 'hops = N' is missing"};
   }
-  std::vector<bool> sources_set(static_cast<std::size_t>(std::max(hop_count, 0)));
 
-  for (const KvLine& l : lines) {
-    if (l.key == "name") {
-      if (l.value.empty()) fail(l, "must not be empty");
-      if (l.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789-_") != std::string::npos) {
-        fail(l, "preset names use lowercase letters, digits, '-' and '_'; got '" +
-                    l.value + "'");
-      }
-      spec.name = l.value;
-    } else if (l.key == "description") {
-      spec.description = l.value;
-    } else if (l.key == "engine") {
-      if (l.value == "v1") {
-        spec.engine = EngineVersion::kV1;
-      } else if (l.value == "v2") {
-        spec.engine = EngineVersion::kV2;
-      } else {
-        fail(l, "unknown engine '" + l.value + "' (expected v1 or v2; see "
-                "docs/ENGINE.md)");
-      }
-    } else if (l.key == "seed") {
-      spec.seed = parse_u64(l);
-    } else if (l.key == "warmup_s") {
-      const double s = parse_num(l);
-      if (s < 0.0) fail(l, "must not be negative, got " + l.value);
-      spec.warmup = Duration::seconds(s);
-    } else if (l.key == "hops") {
-      // consumed above
-    } else if (l.key.rfind("paper.", 0) == 0) {
-      const std::string field = l.key.substr(6);
-      if (field == "hops") {
-        pcfg.hops = parse_int(l);
-      } else if (field == "tight_capacity_mbps") {
-        pcfg.tight_capacity = Rate::mbps(parse_num(l));
-      } else if (field == "tight_utilization") {
-        pcfg.tight_utilization = parse_num(l);
-      } else if (field == "beta") {
-        pcfg.beta = parse_num(l);
-      } else if (field == "nontight_utilization") {
-        pcfg.nontight_utilization = parse_num(l);
-      } else if (field == "traffic") {
-        const TrafficModel m = parse_model(l);
-        if (m == TrafficModel::kOnOff || m == TrafficModel::kRamp ||
-            m == TrafficModel::kNone) {
-          fail(l, "the paper parameterization supports poisson|pareto|constant; "
-                  "use a custom hop list for onoff/ramp traffic");
-        }
-        pcfg.model = renewal_of(m);
-      } else if (field == "pareto_alpha") {
-        pcfg.pareto_alpha = parse_num(l);
-      } else if (field == "sources_per_link") {
-        pcfg.sources_per_link = parse_int(l);
-      } else if (field == "total_prop_delay_ms") {
-        pcfg.total_prop_delay = Duration::milliseconds(parse_num(l));
-      } else if (field == "buffer_ms") {
-        const double ms = parse_num(l);
-        if (ms <= 0.0) fail(l, "must be positive, got " + l.value);
-        pcfg.buffer_drain = Duration::milliseconds(ms);
-      } else {
-        fail(l, "unknown paper key (expected hops, tight_capacity_mbps, "
-                "tight_utilization, beta, nontight_utilization, traffic, "
-                "pareto_alpha, sources_per_link, total_prop_delay_ms, buffer_ms)");
-      }
-    } else if (l.key.rfind("hop.", 0) == 0) {
+  if (!custom) {
+    PaperPathConfig cfg;
+    parse_keys(kPaperKeys, paper_lines, cfg, "paper key");
+    spec.hops = cfg.derive_hops();
+    spec.paper = cfg;
+  } else {
+    std::vector<std::vector<KvLine>> per_hop(spec.hops.size());
+    for (KvLine& l : hop_lines) {
       const auto dot = l.key.find('.', 4);
-      if (dot == std::string::npos) {
-        fail(l, "expected hop.<index>.<field>");
-      }
-      const KvLine idx_line{l.no, l.key, l.key.substr(4, dot - 4)};
+      if (dot == std::string::npos) fail(l, "expected hop.<index>.<field>");
+      const std::string index = l.key.substr(4, dot - 4);
       char* end = nullptr;
-      const long idx = std::strtol(idx_line.value.c_str(), &end, 10);
-      if (end == idx_line.value.c_str() || *end != '\0' || idx < 0) {
+      const long idx = std::strtol(index.c_str(), &end, 10);
+      if (end == index.c_str() || *end != '\0' || idx < 0) {
         fail(l, "expected hop.<index>.<field> with a non-negative index");
       }
-      if (idx >= hop_count) {
+      if (static_cast<std::size_t>(idx) >= spec.hops.size()) {
         fail(l, "hop index " + std::to_string(idx) + " out of range (hops = " +
-                    std::to_string(hop_count) + ")");
+                    std::to_string(spec.hops.size()) + ")");
       }
-      HopDecl& hop = spec.hops[static_cast<std::size_t>(idx)];
-      const std::string field = l.key.substr(dot + 1);
-      if (field == "capacity_mbps") {
-        hop.capacity = Rate::mbps(parse_num(l));
-      } else if (field == "delay_ms") {
-        hop.delay = Duration::milliseconds(parse_num(l));
-      } else if (field == "buffer_ms") {
-        hop.buffer_drain = Duration::milliseconds(parse_num(l));
-      } else if (field == "traffic.model") {
-        hop.traffic.model = parse_model(l);
-        if ((hop.traffic.model == TrafficModel::kOnOff ||
-             hop.traffic.model == TrafficModel::kRamp) &&
-            !sources_set[static_cast<std::size_t>(idx)]) {
-          hop.traffic.sources = 1;
-        }
-      } else if (field == "traffic.utilization") {
-        hop.traffic.utilization = parse_num(l);
-      } else if (field == "traffic.sources") {
-        hop.traffic.sources = parse_int(l);
-        sources_set[static_cast<std::size_t>(idx)] = true;
-      } else if (field == "traffic.pareto_alpha") {
-        hop.traffic.pareto_alpha = parse_num(l);
-      } else if (field == "traffic.peak_utilization") {
-        hop.traffic.peak_utilization = parse_num(l);
-      } else if (field == "traffic.mean_burst_kb") {
-        hop.traffic.mean_burst_kb = parse_num(l);
-      } else if (field == "traffic.burst_alpha") {
-        hop.traffic.burst_alpha = parse_num(l);
-      } else if (field == "traffic.end_utilization") {
-        hop.traffic.end_utilization = parse_num(l);
-      } else if (field == "traffic.ramp_start_s") {
-        hop.traffic.ramp_start_s = parse_num(l);
-      } else if (field == "traffic.ramp_end_s") {
-        hop.traffic.ramp_end_s = parse_num(l);
-      } else if (field == "traffic.ramp_back_start_s") {
-        hop.traffic.ramp_back_start_s = parse_num(l);
-      } else if (field == "traffic.ramp_back_end_s") {
-        hop.traffic.ramp_back_end_s = parse_num(l);
-      } else if (field == "traffic.mix") {
-        hop.traffic.mix = parse_mix(l);
-      } else {
-        fail(l, "unknown hop field '" + field +
-                "' (expected capacity_mbps, delay_ms, buffer_ms, or traffic.{"
-                "model, utilization, sources, pareto_alpha, peak_utilization, "
-                "mean_burst_kb, burst_alpha, end_utilization, ramp_start_s, "
-                "ramp_end_s, ramp_back_start_s, ramp_back_end_s, mix})");
+      l.field = l.key.substr(dot + 1);
+      per_hop[static_cast<std::size_t>(idx)].push_back(std::move(l));
+    }
+    for (std::size_t i = 0; i < spec.hops.size(); ++i) {
+      parse_keys(kHopKeys, per_hop[i], spec.hops[i], "hop field");
+      // A model without a load is almost certainly a forgotten key; fail
+      // with the fix rather than silently generating no traffic.
+      const TrafficSpec& t = spec.hops[i].traffic;
+      if (t.model != TrafficModel::kNone && t.model != TrafficModel::kOnOff &&
+          t.model != TrafficModel::kRamp && t.utilization == 0.0) {
+        fail_hop(i, "traffic.utilization",
+                 "traffic.model = " + std::string{to_string(t.model)} +
+                     " but no load is set; set hop." + std::to_string(i) +
+                     ".traffic.utilization, or model = none");
       }
-    } else {
-      fail(l, "unknown key (expected name, description, engine, seed, "
-              "warmup_s, hops, hop.<i>.*, or paper.*)");
     }
   }
-
   if (spec.name.empty()) {
     throw SpecError{"spec is missing 'name = <preset-name>'"};
   }
-
   for (const auto& [no, body] : flow_lines) {
     spec.flows.push_back(parse_flow_line(no, body));
   }
   for (const auto& [no, body] : impair_lines) {
     spec.impairments.push_back(parse_impair_line(no, body));
   }
-
-  if (paper_mode) {
-    pcfg.seed = spec.seed;
-    pcfg.warmup = spec.warmup;
-    ScenarioSpec out = from_paper(spec.name, spec.description, pcfg);
-    out.engine = spec.engine;
-    out.flows = std::move(spec.flows);
-    out.impairments = std::move(spec.impairments);
-    out.validate();
-    return out;
-  }
-
-  // A model without a load is almost certainly a forgotten key; fail with
-  // the fix rather than silently generating no traffic.
-  for (std::size_t i = 0; i < spec.hops.size(); ++i) {
-    const TrafficSpec& t = spec.hops[i].traffic;
-    if (t.model != TrafficModel::kNone && t.model != TrafficModel::kOnOff &&
-        t.model != TrafficModel::kRamp && t.utilization == 0.0) {
-      fail_hop(i, "traffic.utilization",
-               "traffic.model = " + std::string{to_string(t.model)} +
-                   " but no load is set; set hop." + std::to_string(i) +
-                   ".traffic.utilization, or model = none");
-    }
-  }
-
   spec.validate();
   return spec;
 }
@@ -858,62 +858,26 @@ void ScenarioSpec::validate() const {
 
 std::string ScenarioSpec::to_text() const {
   std::string out;
-  out += "name = " + name + "\n";
-  if (!description.empty()) out += "description = " + description + "\n";
-  // v1 is implicit: emitting the line only for v2 keeps every pre-engine
-  // preset text, golden spec file, and shard round-trip byte-identical.
-  if (engine == EngineVersion::kV2) out += "engine = v2\n";
-  out += "seed = " + std::to_string(seed) + "\n";
-  out += "warmup_s = " + fmt(warmup.secs()) + "\n";
+  write_keys(out, kTopKeys, *this, "");
   if (paper) {
-    const PaperPathConfig& p = *paper;
-    out += "paper.hops = " + std::to_string(p.hops) + "\n";
-    out += "paper.tight_capacity_mbps = " + fmt(p.tight_capacity.mbits_per_sec()) + "\n";
-    out += "paper.tight_utilization = " + fmt(p.tight_utilization) + "\n";
-    out += "paper.beta = " + fmt(p.beta) + "\n";
-    out += "paper.nontight_utilization = " + fmt(p.nontight_utilization) + "\n";
-    out += "paper.traffic = " + std::string{to_string(model_of(p.model))} + "\n";
-    out += "paper.pareto_alpha = " + fmt(p.pareto_alpha) + "\n";
-    out += "paper.sources_per_link = " + std::to_string(p.sources_per_link) + "\n";
-    out += "paper.total_prop_delay_ms = " + fmt(p.total_prop_delay.millis()) + "\n";
-    out += "paper.buffer_ms = " + fmt(p.buffer_drain.millis()) + "\n";
-    for (const FlowSpec& f : flows) {
-      out += flow_to_text(f, static_cast<std::size_t>(p.hops));
-    }
-    for (const ImpairSpec& imp : impairments) out += impair_to_text(imp);
-    return out;
-  }
-  out += "hops = " + std::to_string(hops.size()) + "\n";
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    const HopDecl& h = hops[i];
-    const std::string pre = "hop." + std::to_string(i) + ".";
-    out += pre + "capacity_mbps = " + fmt(h.capacity.mbits_per_sec()) + "\n";
-    out += pre + "delay_ms = " + fmt(h.delay.millis()) + "\n";
-    out += pre + "buffer_ms = " + fmt(h.buffer_drain.millis()) + "\n";
-    const TrafficSpec& t = h.traffic;
-    out += pre + "traffic.model = " + std::string{to_string(t.model)} + "\n";
-    if (t.model == TrafficModel::kNone) continue;
-    out += pre + "traffic.utilization = " + fmt(t.utilization) + "\n";
-    out += pre + "traffic.sources = " + std::to_string(t.sources) + "\n";
-    out += pre + "traffic.mix = " + mix_to_text(t.mix) + "\n";
-    if (t.model == TrafficModel::kPareto) {
-      out += pre + "traffic.pareto_alpha = " + fmt(t.pareto_alpha) + "\n";
-    } else if (t.model == TrafficModel::kOnOff) {
-      out += pre + "traffic.peak_utilization = " + fmt(t.peak_utilization) + "\n";
-      out += pre + "traffic.mean_burst_kb = " + fmt(t.mean_burst_kb) + "\n";
-      out += pre + "traffic.burst_alpha = " + fmt(t.burst_alpha) + "\n";
-    } else if (t.model == TrafficModel::kRamp) {
-      out += pre + "traffic.end_utilization = " + fmt(t.end_utilization) + "\n";
-      out += pre + "traffic.ramp_start_s = " + fmt(t.ramp_start_s) + "\n";
-      out += pre + "traffic.ramp_end_s = " + fmt(t.ramp_end_s) + "\n";
-      if (t.has_ramp_back()) {
-        out += pre + "traffic.ramp_back_start_s = " + fmt(t.ramp_back_start_s) + "\n";
-        out += pre + "traffic.ramp_back_end_s = " + fmt(t.ramp_back_end_s) + "\n";
-      }
+    write_keys(out, kPaperKeys, *paper, "paper.");
+  } else {
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      write_keys(out, kHopKeys, hops[i], "hop." + std::to_string(i) + ".");
     }
   }
-  for (const FlowSpec& f : flows) out += flow_to_text(f, hops.size());
-  for (const ImpairSpec& imp : impairments) out += impair_to_text(imp);
+  for (FlowSpec f : flows) {
+    // The hop range prints resolved, so a rendered spec is self-describing.
+    if (f.last_hop == sim::Segment::kPathEnd) f.last_hop = hops.size() - 1;
+    out += "flow tcp";
+    write_keys(out, kFlowKeys, f, " ", "=", "");
+    out += "\n";
+  }
+  for (const ImpairSpec& imp : impairments) {
+    out += "impair";
+    write_keys(out, kImpairKeys, imp, " ", "=", "");
+    out += "\n";
+  }
   return out;
 }
 
@@ -921,18 +885,14 @@ ScenarioSpec ScenarioSpec::with_load(double util) const {
   if (util < 0.0 || util >= 1.0) {
     throw SpecError{"with_load: utilization must be in [0, 1), got " + fmt(util)};
   }
-  if (paper) {
-    PaperPathConfig p = *paper;
-    p.tight_utilization = util;
-    ScenarioSpec out = from_paper(name, description, p);
-    out.engine = engine;
-    out.flows = flows;
-    out.impairments = impairments;
-    out.warmup = warmup;
-    out.seed = seed;
+  ScenarioSpec out = *this;
+  if (out.paper) {
+    // Re-derive the whole path, so the non-tight capacities keep tracking
+    // beta * At (the paper's invariant).
+    out.paper->tight_utilization = util;
+    out.hops = out.paper->derive_hops();
     return out;
   }
-  ScenarioSpec out = *this;
   const std::size_t tight = tight_hop();
   if (out.hops[tight].traffic.model == TrafficModel::kNone) {
     throw SpecError{"with_load: tight hop " + std::to_string(tight) +
@@ -943,10 +903,9 @@ ScenarioSpec ScenarioSpec::with_load(double util) const {
 }
 
 std::size_t ScenarioSpec::tight_hop() const {
-  if (paper) {
-    // The Fig. 4 convention: the middle hop, regardless of beta ties.
-    return static_cast<std::size_t>(paper->hops / 2);
-  }
+  // Paper form: the middle hop. Validation keeps beta >= 1, where it has
+  // the least avail-bw; at beta = 1 every hop ties up to rounding.
+  if (paper) return paper->tight_index();
   std::size_t best = 0;
   double best_avail = hops[0].capacity.bits_per_sec() * (1.0 - initial_util(hops[0]));
   for (std::size_t i = 1; i < hops.size(); ++i) {
@@ -965,7 +924,6 @@ Rate ScenarioSpec::avail_bw() const {
 }
 
 Rate ScenarioSpec::final_avail_bw() const {
-  if (paper) return paper->tight_avail_bw();
   Rate best = Rate::mbps(1e12);
   for (const auto& h : hops) {
     // A wave returns to its pre-ramp load; a one-way ramp holds its end
@@ -987,13 +945,16 @@ bool ScenarioSpec::nonstationary() const {
 
 namespace {
 
-/// Translate a validated FlowSpec into the workload layer's config.
-tcp::SegmentFlowConfig flow_config(const FlowSpec& f) {
-  tcp::SegmentFlowConfig cfg;
+/// Copy a validated FlowSpec into a flow backend's config. `tcp` is where
+/// the backend keeps its TCP knobs: the .tcp member of a
+/// tcp::SegmentFlowConfig, or the sim::FluidTcpConfig itself, so either
+/// backend sees the identical shape.
+template <typename Cfg, typename Tcp>
+Cfg& fill_flow_config(const FlowSpec& f, Cfg& cfg, Tcp& tcp) {
   cfg.segment = sim::Segment{f.first_hop, f.last_hop};
-  cfg.tcp.mss_bytes = f.mss_bytes;
-  cfg.tcp.cc = f.cc;
-  if (f.rwnd.has_value()) cfg.tcp.advertised_window = *f.rwnd;
+  tcp.mss_bytes = f.mss_bytes;
+  tcp.cc = f.cc;
+  if (f.rwnd.has_value()) tcp.advertised_window = *f.rwnd;
   cfg.reverse_delay = Duration::milliseconds(f.reverse_ms);
   cfg.start = Duration::seconds(f.start_s);
   if (f.stop_s.has_value()) cfg.stop = Duration::seconds(*f.stop_s);
@@ -1002,20 +963,30 @@ tcp::SegmentFlowConfig flow_config(const FlowSpec& f) {
   return cfg;
 }
 
-/// The same FlowSpec as the fluid backend's config (field-for-field twin
-/// of flow_config, so either backend sees the identical shape).
-sim::FluidTcpConfig fluid_flow_config(const FlowSpec& f) {
-  sim::FluidTcpConfig cfg;
-  cfg.segment = sim::Segment{f.first_hop, f.last_hop};
-  cfg.mss_bytes = f.mss_bytes;
-  cfg.cc = f.cc;
-  if (f.rwnd.has_value()) cfg.advertised_window = *f.rwnd;
-  cfg.reverse_delay = Duration::milliseconds(f.reverse_ms);
-  cfg.start = Duration::seconds(f.start_s);
-  if (f.stop_s.has_value()) cfg.stop = Duration::seconds(*f.stop_s);
-  if (f.on_s.has_value()) cfg.on_period = Duration::seconds(*f.on_s);
-  if (f.off_s.has_value()) cfg.off_period = Duration::seconds(*f.off_s);
-  return cfg;
+/// On/off parameters of one of the `t.sources` sources sharing hop traffic
+/// `t` on `link` (both engines).
+sim::OnOffParams onoff_params(const sim::Link& link, const TrafficSpec& t) {
+  sim::OnOffParams params;
+  params.peak_rate = link.capacity() * t.peak_utilization / static_cast<double>(t.sources);
+  params.mean_burst = DataSize::kilobytes(t.mean_burst_kb);
+  params.burst_alpha = t.burst_alpha;
+  return params;
+}
+
+/// Ramp parameters of one of `n` sources sharing hop traffic `t` on `link`.
+sim::RampParams ramp_params(const sim::Link& link, const TrafficSpec& t, double n) {
+  sim::RampParams params;
+  params.start_rate = link.capacity() * t.utilization / n;
+  params.end_rate = link.capacity() * t.end_utilization / n;
+  params.ramp_start = Duration::seconds(t.ramp_start_s);
+  params.ramp_end = Duration::seconds(t.ramp_end_s);
+  if (t.has_ramp_back()) {
+    // The wave returns to the pre-ramp load.
+    params.back_rate = params.start_rate;
+    params.back_start = Duration::seconds(t.ramp_back_start_s);
+    params.back_end = Duration::seconds(t.ramp_back_end_s);
+  }
+  return params;
 }
 
 }  // namespace
@@ -1061,11 +1032,13 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
       // per-segment events against fluid queues); `mode=packet` opts back
       // into the packet-accurate Reno connection.
       if (fluid_engine && f.mode != FlowSpec::Mode::kPacket) {
-        flows_.push_back(
-            std::make_unique<sim::FluidTcpSource>(*sim_, *path_, fluid_flow_config(f)));
+        sim::FluidTcpConfig cfg;
+        flows_.push_back(std::make_unique<sim::FluidTcpSource>(
+            *sim_, *path_, fill_flow_config(f, cfg, cfg)));
       } else {
-        flows_.push_back(
-            std::make_unique<tcp::SegmentTcpFlow>(*sim_, *path_, flow_config(f)));
+        tcp::SegmentFlowConfig cfg;
+        flows_.push_back(std::make_unique<tcp::SegmentTcpFlow>(
+            *sim_, *path_, fill_flow_config(f, cfg, cfg.tcp)));
       }
     }
   }
@@ -1100,10 +1073,7 @@ void ScenarioInstance::build_v1_traffic() {
       case TrafficModel::kOnOff: {
         Rng hop_rng = rng.fork();
         const double n = static_cast<double>(t.sources);
-        sim::OnOffParams params;
-        params.peak_rate = link.capacity() * t.peak_utilization / n;
-        params.mean_burst = DataSize::kilobytes(t.mean_burst_kb);
-        params.burst_alpha = t.burst_alpha;
+        const sim::OnOffParams params = onoff_params(link, t);
         std::vector<std::unique_ptr<sim::TrafficGen>> members;
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
@@ -1115,18 +1085,8 @@ void ScenarioInstance::build_v1_traffic() {
       }
       case TrafficModel::kRamp: {
         Rng hop_rng = rng.fork();
-        const double n = static_cast<double>(t.sources);
-        sim::RampParams params;
-        params.start_rate = mean / n;
-        params.end_rate = link.capacity() * t.end_utilization / n;
-        params.ramp_start = Duration::seconds(t.ramp_start_s);
-        params.ramp_end = Duration::seconds(t.ramp_end_s);
-        if (t.has_ramp_back()) {
-          // The wave returns to the pre-ramp load.
-          params.back_rate = mean / n;
-          params.back_start = Duration::seconds(t.ramp_back_start_s);
-          params.back_end = Duration::seconds(t.ramp_back_end_s);
-        }
+        const sim::RampParams params =
+            ramp_params(link, t, static_cast<double>(t.sources));
         std::vector<std::unique_ptr<sim::TrafficGen>> members;
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
@@ -1182,10 +1142,7 @@ void ScenarioInstance::build_v2_traffic() {
         // the workload variable resolves), so each source keeps its own
         // ON/OFF process — as fluid rate segments.
         const double n = static_cast<double>(t.sources);
-        sim::OnOffParams params;
-        params.peak_rate = link.capacity() * t.peak_utilization / n;
-        params.mean_burst = DataSize::kilobytes(t.mean_burst_kb);
-        params.burst_alpha = t.burst_alpha;
+        const sim::OnOffParams params = onoff_params(link, t);
         std::vector<std::unique_ptr<sim::TrafficGen>> members;
         members.reserve(static_cast<std::size_t>(t.sources));
         for (int s = 0; s < t.sources; ++s) {
@@ -1200,18 +1157,8 @@ void ScenarioInstance::build_v2_traffic() {
         // The ramp profile is deterministic in fluid form (v1's randomness
         // only jitters arrivals around it), and rate contributions add, so
         // one source carries the hop's whole aggregate.
-        sim::RampParams params;
-        params.start_rate = mean;
-        params.end_rate = link.capacity() * t.end_utilization;
-        params.ramp_start = Duration::seconds(t.ramp_start_s);
-        params.ramp_end = Duration::seconds(t.ramp_end_s);
-        if (t.has_ramp_back()) {
-          params.back_rate = mean;
-          params.back_start = Duration::seconds(t.ramp_back_start_s);
-          params.back_end = Duration::seconds(t.ramp_back_end_s);
-        }
-        traffic_.push_back(
-            std::make_unique<sim::FluidRampSource>(*sim_, link, params));
+        traffic_.push_back(std::make_unique<sim::FluidRampSource>(
+            *sim_, link, ramp_params(link, t, 1.0)));
         break;
       }
     }

@@ -239,17 +239,18 @@ struct ScenarioSpec {
   /// emits the line only for v2, keeping v1 round-trips byte-identical.
   EngineVersion engine{EngineVersion::kV1};
 
-  /// Set when the spec was derived from the paper's Fig. 4 parameterization.
-  /// Kept so load sweeps preserve the paper's invariant that the non-tight
-  /// capacities track beta * At (with_load re-derives the whole path), so
-  /// the tight hop stays the middle one, and so to_text emits the paper.*
-  /// form. Instantiation reads only `hops`.
+  /// Set when `hops` was derived from the paper's Fig. 4 parameterization
+  /// (PaperPathConfig::derive_hops). Kept so load sweeps preserve the
+  /// paper's invariant that the non-tight capacities track beta * At
+  /// (with_load re-derives the hops), so the tight hop stays the middle
+  /// one, and so to_text emits the paper.* form. Instantiation reads only
+  /// `hops`.
   std::optional<PaperPathConfig> paper;
 
   /// Build a spec from the paper's Fig. 4 parameterization: `hops` gets
-  /// the derived path (tight middle hop, non-tight capacity beta * At /
-  /// (1 - ux), the delay split evenly), and `paper` keeps `cfg`. Throws
-  /// SpecError on an invalid parameterization.
+  /// cfg.derive_hops(), `paper` keeps `cfg`, and every other field has its
+  /// default (set `seed` and `warmup` on the result). Throws SpecError on an
+  /// invalid parameterization.
   static ScenarioSpec from_paper(std::string name, std::string description,
                                  const PaperPathConfig& cfg);
 
@@ -265,13 +266,14 @@ struct ScenarioSpec {
   /// Throws SpecError naming the hop and field on the first violation.
   void validate() const;
 
-  /// The spec with the tight hop's long-run utilization set to `util`.
-  /// Paper-derived specs re-derive the whole path (beta invariant); custom
-  /// specs change only the tight hop's traffic.
+  /// The spec with the tight hop's long-run utilization set to `util`, every
+  /// other field kept. Paper-derived specs re-derive their hops (beta
+  /// invariant); custom specs change only the tight hop's traffic.
   ScenarioSpec with_load(double util) const;
 
   /// Index of the tight hop: minimum capacity * (1 - utilization), using
-  /// pre-ramp utilizations.
+  /// pre-ramp utilizations; the middle hop for paper-derived specs (where
+  /// beta >= 1 makes it the minimum, ties at beta = 1 included).
   std::size_t tight_hop() const;
 
   /// Configured long-run end-to-end avail-bw, min over hops of
@@ -293,6 +295,12 @@ struct ScenarioSpec {
   /// True when any hop carries link impairments (loss/dup/reorder).
   bool impaired() const { return !impairments.empty(); }
 };
+
+/// Every key the text format accepts, generated from the parser's key
+/// table and spelled as docs/SCENARIOS.md documents it: `name`,
+/// `paper.beta`, `hop.<i>.traffic.model`, and directive keys as
+/// `flow rwnd` / `impair seed`.
+std::vector<std::string> spec_key_names();
 
 /// Deterministic per-hop impairment seed when an `impair` line has no
 /// explicit seed= (splitmix64 over the scenario seed and hop index, so

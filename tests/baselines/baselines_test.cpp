@@ -10,6 +10,13 @@
 namespace pathload::baselines {
 namespace {
 
+/// The paper-form spec of `cfg` with the 1 s warmup these tests use.
+scenario::ScenarioSpec paper_spec(const scenario::PaperPathConfig& cfg) {
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
+}
+
 scenario::PaperPathConfig single_tight_path(double utilization,
                                             Rate capacity = Rate::mbps(10)) {
   scenario::PaperPathConfig cfg;
@@ -17,14 +24,13 @@ scenario::PaperPathConfig single_tight_path(double utilization,
   cfg.tight_capacity = capacity;
   cfg.tight_utilization = utilization;
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::seconds(1);
   return cfg;
 }
 
 TEST(Cprobe, DispersionRateBetweenAvailBwAndCapacity) {
   // A = 4, C = 10
   scenario::ScenarioInstance bed{
-      scenario::ScenarioSpec::from_paper("paper", "", single_tight_path(0.6))};
+      paper_spec(single_tight_path(0.6))};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate adr = CprobeEstimator{}.measure(ch);
@@ -37,7 +43,7 @@ TEST(Cprobe, OverestimatesAvailBwUnderLoad) {
   // measures the ADR, not the avail-bw; under load ADR sits well above A.
   // A = 2.5
   scenario::ScenarioInstance bed{
-      scenario::ScenarioSpec::from_paper("paper", "", single_tight_path(0.75))};
+      paper_spec(single_tight_path(0.75))};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate adr = CprobeEstimator{}.measure(ch);
@@ -50,7 +56,7 @@ TEST(Cprobe, MatchesFluidAdrOnCbrTraffic) {
   // (the train saturates the first and only link).
   auto cfg = single_tight_path(0.5);
   cfg.model = sim::Interarrival::kConstant;
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   CprobeConfig cp;
@@ -69,7 +75,7 @@ TEST(Cprobe, EmptyOutcomeYieldsZero) {
 TEST(PacketPair, EstimatesNarrowLinkCapacity) {
   // C = 10
   scenario::ScenarioInstance bed{
-      scenario::ScenarioSpec::from_paper("paper", "", single_tight_path(0.3))};
+      paper_spec(single_tight_path(0.3))};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate cap = PacketPairEstimator{}.measure(ch);
@@ -81,7 +87,7 @@ TEST(PacketPair, CapacityNotAvailBw) {
   // really measures" data point.
   // A = 3, C = 10
   scenario::ScenarioInstance bed{
-      scenario::ScenarioSpec::from_paper("paper", "", single_tight_path(0.7))};
+      paper_spec(single_tight_path(0.7))};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   const Rate cap = PacketPairEstimator{}.measure(ch);
@@ -91,7 +97,7 @@ TEST(PacketPair, CapacityNotAvailBw) {
 TEST(Topp, EstimatesAvailBwAndCapacityOnSmoothTraffic) {
   auto cfg = single_tight_path(0.5);  // A = 5, C = 10
   cfg.model = sim::Interarrival::kConstant;
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -111,7 +117,7 @@ TEST(Topp, EstimatesAvailBwAndCapacityOnSmoothTraffic) {
 TEST(Topp, SweepShowsKneeAtAvailBw) {
   auto cfg = single_tight_path(0.5);
   cfg.model = sim::Interarrival::kConstant;
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -138,7 +144,7 @@ TEST(Topp, SweepShowsKneeAtAvailBw) {
 TEST(Topp, InvalidWhenSweepNeverExceedsAvailBw) {
   auto cfg = single_tight_path(0.2);  // A = 8
   cfg.model = sim::Interarrival::kConstant;
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   ToppConfig tc;
@@ -156,7 +162,7 @@ TEST(Delphi, TracksCrossTrafficOnSingleQueuePath) {
   // (C - L/din = 6 Mb/s) sitting near the true lambda = 5 Mb/s; the
   // baselines_table bench shows the bias once load moves away from it.
   auto cfg = single_tight_path(0.5);  // C = 10, lambda = 5, A = 5
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   scenario::SimProbeChannel ch{bed.simulator(), bed.path()};
   DelphiConfig dc;
@@ -226,7 +232,7 @@ TEST(Delphi, NoUsablePairsIsInvalid) {
 TEST(Btc, SaturatesQuietPath) {
   scenario::PaperPathConfig cfg = single_tight_path(0.0);
   cfg.tight_capacity = Rate::mbps(8);
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   BtcConfig bc;
   bc.duration = Duration::seconds(30);
@@ -240,7 +246,7 @@ TEST(Btc, PerSecondThroughputIsVariable) {
   // 5-min average saturates the path.
   scenario::PaperPathConfig cfg = single_tight_path(0.4, Rate::mbps(8));
   cfg.buffer_drain = Duration::milliseconds(150);
-  scenario::ScenarioInstance bed{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   BtcConfig bc;
   bc.duration = Duration::seconds(60);

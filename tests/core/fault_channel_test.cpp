@@ -19,8 +19,9 @@ scenario::ScenarioInstance make_bed(double utilization = 0.5) {
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = utilization;
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::milliseconds(300);
-  return scenario::ScenarioInstance{scenario::ScenarioSpec::from_paper("paper", "", cfg)};
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::milliseconds(300);
+  return scenario::ScenarioInstance{std::move(spec)};
 }
 
 StreamSpec probe_stream(std::uint32_t id) {

@@ -14,18 +14,19 @@
 namespace pathload::scenario {
 namespace {
 
-PaperPathConfig golden_config() {
+ScenarioSpec golden_spec() {
   PaperPathConfig cfg;
   cfg.hops = 3;
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
-  cfg.seed = 77;
-  cfg.warmup = Duration::seconds(2);
-  return cfg;
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.seed = 77;
+  spec.warmup = Duration::seconds(2);
+  return spec;
 }
 
 TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", golden_config())};
+  ScenarioInstance bed{golden_spec()};
   bed.start();
   EXPECT_EQ(bed.simulator().events_processed(), 52560u);
   EXPECT_EQ(bed.simulator().next_packet_id() - 1, 17561u);
@@ -33,8 +34,7 @@ TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
 
 TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
   core::PathloadConfig tool;
-  const auto res = run_scenario_once(
-      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 77);
+  const auto res = run_scenario_once(golden_spec(), tool, 77);
   EXPECT_EQ(res.range.low.bits_per_sec(), 3397806.7157649733);
   EXPECT_EQ(res.range.high.bits_per_sec(), 3964114.850317501);
   EXPECT_EQ(res.fleets, 4);
@@ -43,10 +43,8 @@ TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
 
 TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {
   core::PathloadConfig tool;
-  const auto a = run_scenario_once(
-      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 123);
-  const auto b = run_scenario_once(
-      ScenarioSpec::from_paper("paper", "", golden_config()), tool, 123);
+  const auto a = run_scenario_once(golden_spec(), tool, 123);
+  const auto b = run_scenario_once(golden_spec(), tool, 123);
   EXPECT_EQ(a.range.low.bits_per_sec(), b.range.low.bits_per_sec());
   EXPECT_EQ(a.range.high.bits_per_sec(), b.range.high.bits_per_sec());
   EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos());

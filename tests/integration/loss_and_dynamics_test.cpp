@@ -9,6 +9,13 @@
 namespace pathload::scenario {
 namespace {
 
+/// The paper-form spec of `cfg` with the 1 s warmup these tests use.
+ScenarioSpec paper_spec(const PaperPathConfig& cfg) {
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
+}
+
 // --- failure injection: undersized buffers -> probe losses ---------------
 
 TEST(LossHandling, UnderbufferedPathStillYieldsEstimate) {
@@ -18,8 +25,7 @@ TEST(LossHandling, UnderbufferedPathStillYieldsEstimate) {
   cfg.tight_utilization = 0.6;
   cfg.buffer_drain = Duration::milliseconds(8);  // ~10 KB buffer
   cfg.model = sim::Interarrival::kPareto;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -39,8 +45,7 @@ TEST(LossHandling, AbortedFleetsAppearInTrace) {
   cfg.tight_utilization = 0.7;
   cfg.buffer_drain = Duration::milliseconds(4);
   cfg.model = sim::Interarrival::kPareto;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -65,8 +70,7 @@ TEST(Dynamics, RelativeVariationGrowsWithUtilization) {
       cfg.tight_capacity = Rate::mbps(12.4);
       cfg.tight_utilization = util;
       cfg.model = sim::Interarrival::kPareto;
-      cfg.warmup = Duration::seconds(1);
-      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+      const auto result = run_scenario_once(paper_spec(cfg),
                                             core::PathloadConfig{}, 7000 + i);
       rhos.push_back(result.range.relative_variation());
     }
@@ -85,8 +89,7 @@ TEST(Dynamics, RelativeVariationShrinksWithMultiplexing) {
       cfg.tight_utilization = 0.65;
       cfg.sources_per_link = sources;
       cfg.model = sim::Interarrival::kPareto;
-      cfg.warmup = Duration::seconds(1);
-      const auto result = run_scenario_once(ScenarioSpec::from_paper("paper", "", cfg),
+      const auto result = run_scenario_once(paper_spec(cfg),
                                             core::PathloadConfig{}, 8000 + i);
       rhos.push_back(result.range.relative_variation());
     }
@@ -104,11 +107,10 @@ TEST(Dynamics, LongerStreamsReduceMeasuredVariability) {
       cfg.tight_capacity = Rate::mbps(10);
       cfg.tight_utilization = 0.55;
       cfg.model = sim::Interarrival::kPareto;
-      cfg.warmup = Duration::seconds(1);
       core::PathloadConfig tool;
       tool.packets_per_stream = k;
       const auto result = run_scenario_once(
-          ScenarioSpec::from_paper("paper", "", cfg), tool, 9000 + i);
+          paper_spec(cfg), tool, 9000 + i);
       rhos.push_back(result.range.relative_variation());
     }
     return median(rhos);
@@ -125,8 +127,7 @@ TEST(ClockRobustness, SessionUnaffectedByHostClockOffsets) {
     cfg.tight_capacity = Rate::mbps(10);
     cfg.tight_utilization = 0.6;
     cfg.model = sim::Interarrival::kExponential;
-    cfg.warmup = Duration::seconds(1);
-    ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+    ScenarioInstance bed{paper_spec(cfg)};
     bed.start();
     SimProbeChannel channel{bed.simulator(), bed.path()};
     channel.set_sender_clock_offset(snd);

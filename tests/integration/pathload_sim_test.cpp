@@ -16,8 +16,9 @@ ScenarioSpec paper_path(double utilization, sim::Interarrival model) {
   cfg.beta = 2.0;
   cfg.nontight_utilization = 0.6;
   cfg.model = model;
-  cfg.warmup = Duration::seconds(1);
-  return ScenarioSpec::from_paper("paper", "", cfg);
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
 }
 
 core::PathloadConfig fast_tool() {

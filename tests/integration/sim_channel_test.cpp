@@ -9,13 +9,19 @@
 namespace pathload::scenario {
 namespace {
 
+/// The paper-form spec of `cfg` with the 1 s warmup these tests use.
+ScenarioSpec paper_spec(const PaperPathConfig& cfg) {
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
+}
+
 PaperPathConfig quiet_path() {
   PaperPathConfig cfg;
   cfg.hops = 3;
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kConstant;  // deterministic for these tests
-  cfg.warmup = Duration::seconds(1);
   return cfg;
 }
 
@@ -31,7 +37,7 @@ core::StreamSpec spec_at(Rate rate, int k = 100) {
 
 TEST(SimProbeChannel, DeliversAllPacketsOnQuietPath) {
   PaperPathConfig cfg = quiet_path();
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto spec = spec_at(Rate::mbps(2));
@@ -46,7 +52,7 @@ TEST(SimProbeChannel, DeliversAllPacketsOnQuietPath) {
 
 TEST(SimProbeChannel, OwdTrendIncreasingWhenRateAboveAvailBw) {
   // A = 4 Mb/s
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto outcome = ch.run_stream(spec_at(Rate::mbps(8)));
@@ -56,7 +62,7 @@ TEST(SimProbeChannel, OwdTrendIncreasingWhenRateAboveAvailBw) {
 }
 
 TEST(SimProbeChannel, OwdTrendFlatWhenRateBelowAvailBw) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto outcome = ch.run_stream(spec_at(Rate::mbps(2)));
@@ -67,13 +73,13 @@ TEST(SimProbeChannel, OwdTrendFlatWhenRateBelowAvailBw) {
 
 TEST(SimProbeChannel, ClockOffsetsDoNotChangeRelativeOwds) {
   PaperPathConfig cfg = quiet_path();
-  ScenarioInstance bed1{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed1{paper_spec(cfg)};
   bed1.start();
   SimProbeChannel ch1{bed1.simulator(), bed1.path()};
   const auto owds_synced = core::relative_owds(ch1.run_stream(spec_at(Rate::mbps(6))));
 
   // same seed -> identical cross traffic
-  ScenarioInstance bed2{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed2{paper_spec(cfg)};
   bed2.start();
   SimProbeChannel ch2{bed2.simulator(), bed2.path()};
   ch2.set_sender_clock_offset(Duration::seconds(-3600));
@@ -87,7 +93,7 @@ TEST(SimProbeChannel, ClockOffsetsDoNotChangeRelativeOwds) {
 }
 
 TEST(SimProbeChannel, SendGapInjectionIsVisibleToScreening) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   // Stall 5 ms before every 10th packet: 10 anomalies in 100 packets.
@@ -102,7 +108,7 @@ TEST(SimProbeChannel, SendGapInjectionIsVisibleToScreening) {
 }
 
 TEST(SimProbeChannel, IdleAdvancesVirtualTime) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const TimePoint before = ch.now();
@@ -111,7 +117,7 @@ TEST(SimProbeChannel, IdleAdvancesVirtualTime) {
 }
 
 TEST(SimProbeChannel, RttCoversForwardAndReversePath) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   // 50 ms forward propagation + 50 ms reverse, plus serialization.
@@ -123,7 +129,7 @@ TEST(SimProbeChannel, LossyPathReportsPartialStream) {
   PaperPathConfig cfg = quiet_path();
   cfg.tight_utilization = 0.8;
   cfg.buffer_drain = Duration::milliseconds(2);  // tiny buffer -> drops
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   const auto spec = spec_at(Rate::mbps(40));
@@ -134,7 +140,7 @@ TEST(SimProbeChannel, LossyPathReportsPartialStream) {
 }
 
 TEST(SimProbeChannel, StalePacketsFromPreviousStreamIgnored) {
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   auto spec1 = spec_at(Rate::mbps(6));
@@ -150,7 +156,7 @@ TEST(SimProbeChannel, StalePacketsFromPreviousStreamIgnored) {
 TEST(SimProbeChannel, RejectsOutOfRangePacketCounts) {
   // The FIFO ticket reservation casts packet_count to uint32; a negative
   // or absurd count must fail loudly instead of wrapping the ticket block.
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", quiet_path())};
+  ScenarioInstance bed{paper_spec(quiet_path())};
   bed.start();
   SimProbeChannel ch{bed.simulator(), bed.path()};
   auto spec = spec_at(Rate::mbps(2));

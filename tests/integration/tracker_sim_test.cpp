@@ -7,14 +7,20 @@
 namespace pathload::scenario {
 namespace {
 
+/// The paper-form spec of `cfg` with the 1 s warmup these tests use.
+ScenarioSpec paper_spec(const PaperPathConfig& cfg) {
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
+}
+
 TEST(TrackerOverSim, TracksSimulatedPath) {
   PaperPathConfig cfg;
   cfg.hops = 1;
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 
@@ -37,8 +43,7 @@ TEST(TrackerOverSim, DetectsLoadIncrease) {
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.3;
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
 

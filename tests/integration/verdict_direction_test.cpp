@@ -7,6 +7,13 @@
 namespace pathload::scenario {
 namespace {
 
+/// The paper-form spec of `cfg` with the 1 s warmup these tests use.
+ScenarioSpec paper_spec(const PaperPathConfig& cfg) {
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  return spec;
+}
+
 // End-to-end sanity of the verdict *directions*: on a smooth (CBR) path,
 // every fleet whose rate is clearly below the avail-bw must come back
 // "below", and every fleet clearly above it "above" — no crossed wires
@@ -19,8 +26,7 @@ TEST(VerdictDirection, FleetVerdictsConsistentWithRates) {
   cfg.tight_utilization = 0.6;  // A = 4
   cfg.beta = 2.0;
   cfg.model = sim::Interarrival::kConstant;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;
@@ -54,8 +60,7 @@ TEST(VerdictDirection, StreamVotesLeanWithTheRate) {
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.5;  // A = 5
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioInstance bed{paper_spec(cfg)};
   bed.start();
   SimProbeChannel channel{bed.simulator(), bed.path()};
   core::PathloadConfig tool;

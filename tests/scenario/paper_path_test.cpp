@@ -59,8 +59,9 @@ TEST(Testbed, WarmupProducesConfiguredUtilization) {
   cfg.tight_capacity = Rate::mbps(10);
   cfg.tight_utilization = 0.6;
   cfg.model = sim::Interarrival::kExponential;
-  cfg.warmup = Duration::seconds(1);
-  ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+  spec.warmup = Duration::seconds(1);
+  ScenarioInstance bed{std::move(spec)};
   bed.start();
   sim::UtilizationMonitor monitor{bed.simulator(), bed.tight_link(),
                                   Duration::seconds(20)};
@@ -96,9 +97,10 @@ TEST(Testbed, SeedsGiveReproducibleTraffic) {
   auto run = [](std::uint64_t seed) {
     PaperPathConfig cfg;
     cfg.hops = 1;
-    cfg.seed = seed;
-    cfg.warmup = Duration::seconds(2);
-    ScenarioInstance bed{ScenarioSpec::from_paper("paper", "", cfg)};
+    ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", cfg);
+    spec.seed = seed;
+    spec.warmup = Duration::seconds(2);
+    ScenarioInstance bed{std::move(spec)};
     bed.start();
     return bed.tight_link().bytes_forwarded();
   };

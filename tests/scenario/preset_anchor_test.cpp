@@ -31,8 +31,9 @@ ScenarioSpec anchor_spec(const std::string& name) {
   if (name == "beta-one") {
     PaperPathConfig cfg;
     cfg.beta = 1.0;
-    cfg.warmup = Duration::seconds(1);
-    return ScenarioSpec::from_paper(name, "", cfg);
+    ScenarioSpec spec = ScenarioSpec::from_paper(name, "", cfg);
+    spec.warmup = Duration::seconds(1);
+    return spec;
   }
   return Registry::builtin().at(name);
 }

@@ -211,14 +211,26 @@ TEST(SpecValidate, SpecRejectsPaperFormBadDelayBufferAndWarmup) {
   expect_spec_error([&] { ScenarioSpec::from_paper("x", "", unbuffered); },
                     "paper.buffer_ms: must be positive");
   // Warmup and the derived hops are checked like a custom spec's.
-  PaperPathConfig early;
-  early.warmup = Duration::seconds(-1);
-  const ScenarioSpec spec = ScenarioSpec::from_paper("x", "", early);
+  ScenarioSpec spec = ScenarioSpec::from_paper("x", "", PaperPathConfig{});
+  spec.warmup = Duration::seconds(-1);
   expect_spec_error([&] { spec.validate(); }, "warmup_s must not be negative");
   expect_spec_error([&] { ScenarioInstance inst{spec}; }, "warmup_s");
   ScenarioSpec edited = ScenarioSpec::from_paper("x", "", PaperPathConfig{});
   edited.hops[2].delay = Duration::milliseconds(-1);
   expect_spec_error([&] { edited.validate(); }, "hop 2: delay_ms");
+}
+
+TEST(SpecValidate, PaperFormRejectsBetaBelowOne) {
+  // Below 1 a non-tight hop has less avail-bw than the middle hop, which
+  // the paper form reports as the tight link: the truth would be wrong.
+  expect_spec_error(
+      [] { ScenarioSpec::parse("name = lowbeta\npaper.beta = 0.5\n"); },
+      "paper.beta: must be >= 1");
+  PaperPathConfig low;
+  low.beta = 0.99;
+  expect_spec_error([&] { ScenarioSpec::from_paper("x", "", low); }, "paper.beta");
+  // beta = 1 (every hop equally tight) is the smallest legal value.
+  EXPECT_NO_THROW(ScenarioSpec::parse("name = x\npaper.beta = 1\n"));
 }
 
 TEST(SpecParse, OnOffAndRampDefaultToOneSource) {
@@ -464,6 +476,35 @@ TEST(SpecTransform, WithLoadPreservesPaperBetaInvariant) {
   EXPECT_EQ(custom_swept.hops[0].capacity, custom.hops[0].capacity);
   EXPECT_DOUBLE_EQ(custom_swept.hops[0].traffic.utilization, 0.25);
   expect_spec_error([&] { (void)custom.with_load(1.0); }, "must be in [0, 1)");
+}
+
+TEST(SpecTransform, WithLoadKeepsEveryOtherPaperSpecField) {
+  const ScenarioSpec base = ScenarioSpec::parse(R"(
+    name = paper-extras
+    description = paper form with every non-path field set
+    engine = v2
+    seed = 31
+    warmup_s = 0.75
+    paper.hops = 5
+    flow tcp hops=1-3 rwnd=8 cc=cubic
+    impair hop=2 loss=0.01 seed=5
+  )");
+  const ScenarioSpec swept = base.with_load(0.3);
+  EXPECT_EQ(swept.engine, EngineVersion::kV2);
+  EXPECT_EQ(swept.seed, 31u);
+  EXPECT_EQ(swept.warmup, Duration::seconds(0.75));
+  EXPECT_EQ(swept.description, base.description);
+  ASSERT_EQ(swept.flows.size(), 1u);
+  EXPECT_EQ(swept.flows[0].cc, "cubic");
+  ASSERT_EQ(swept.impairments.size(), 1u);
+  EXPECT_EQ(swept.impairments[0].seed, std::optional<std::uint64_t>{5});
+  // Only the tight utilization and what derives from it changed.
+  EXPECT_DOUBLE_EQ(swept.hops[2].traffic.utilization, 0.3);
+  EXPECT_EQ(swept.tight_hop(), 2u);
+  ScenarioSpec expected = base;
+  expected.paper->tight_utilization = 0.3;
+  expected.hops = expected.paper->derive_hops();
+  EXPECT_EQ(swept.to_text(), expected.to_text());
 }
 
 TEST(SpecInstance, CustomSpecWarmupIsDeterministic) {

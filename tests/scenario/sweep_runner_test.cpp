@@ -45,12 +45,12 @@ TEST(SweepRunner, PathloadSweepIsThreadCountInvariant) {
   path.hops = 1;
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
-  path.warmup = Duration::milliseconds(200);
   core::PathloadConfig tool;
 
   SweepRunner serial{1};
   SweepRunner pooled{4};
-  const ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", path);
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", path);
+  spec.warmup = Duration::milliseconds(200);
   const auto a = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, serial);
   const auto b = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, pooled);
   // And against the sequential reference implementation.
