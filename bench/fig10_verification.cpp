@@ -14,7 +14,8 @@
 // footprint the MRTG subtraction needs.
 //
 // Scaling note: MRTG windows are 45 s here instead of 5 min to keep the
-// single-core bench fast; the comparison logic is unchanged.
+// bench fast; the comparison logic is unchanged. The 12 runs are
+// independent simulations and run on the SweepRunner (PATHLOAD_THREADS).
 
 #include <cstdio>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "bench/common.hpp"
 #include "scenario/sim_channel.hpp"
 #include "scenario/spec.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "sim/monitor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -62,65 +64,82 @@ int main() {
   // The paper's Fig. 10 parameters: omega=1, chi=1.5 Mb/s (defaults),
   // f=0.7, PCT 0.6, PDT 0.5.
   const auto& registry = baselines::builtin_estimators();
-  const auto estimator =
-      registry.make("pathload", "pct_threshold=0.6, pdt_threshold=0.5");
+
+  // One forked seed per run, drawn up front in run order, so the runs can
+  // go to the SweepRunner and the output stays independent of the thread
+  // count.
+  const int total_runs = 12;
+  Rng seed_stream{bench::seed()};
+  std::vector<std::uint64_t> seeds;
+  for (int run = 1; run <= total_runs; ++run) seeds.push_back(seed_stream.fork().engine()());
+
+  struct Row {
+    double util;
+    sim::UtilizationMonitor::Band band;
+    double pathload_avg;
+    int pl_runs;
+  };
+  scenario::SweepRunner runner;
+  const std::vector<Row> rows =
+      runner.map(seeds.size(), [&](std::size_t i) {
+        // Slightly different operating point each run, like a real path
+        // observed at different times of day.
+        const double util = 0.44 + 0.02 * static_cast<double>(i + 1);  // A in [50, 87] Mb/s
+
+        scenario::ScenarioSpec spec = base.with_load(util);
+        spec.seed = seeds[i];
+        scenario::ScenarioInstance inst{std::move(spec)};
+        inst.start();
+        sim::Simulator& sim = inst.simulator();
+
+        // MRTG-style byte counters over the window. Consecutive pathload
+        // runs themselves add ~R/10 of probe load to the link; in the
+        // paper that footprint is diluted across a 5-minute window, so we
+        // subtract the known probe bytes — straight from the
+        // EstimateReports — to get the cross-traffic avail-bw the paper's
+        // MRTG graphs effectively show.
+        const DataSize bytes_at_start = inst.path().link(0).bytes_forwarded();
+        const TimePoint window_start = sim.now();
+
+        scenario::SimProbeChannel channel{sim, inst.path()};
+        Rng rng{seeds[i]};
+        const auto estimator =
+            registry.make("pathload", "pct_threshold=0.6, pdt_threshold=0.5");
+
+        // Run pathload consecutively across the window, Eq. (11)-averaging.
+        std::vector<WeightedSample> samples;
+        const TimePoint window_end = sim.now() + window;
+        int pl_runs = 0;
+        DataSize probe_bytes{};
+        while (sim.now() < window_end) {
+          const core::EstimateReport report = estimator->run(channel, rng);
+          samples.push_back({report.center().mbits_per_sec(), report.elapsed});
+          probe_bytes += report.bytes_sent;
+          ++pl_runs;
+        }
+
+        const Duration actual_window = sim.now() - window_start;
+        const DataSize link_bytes =
+            inst.path().link(0).bytes_forwarded() - bytes_at_start;
+        const double cross_util =
+            (link_bytes - probe_bytes).bits() /
+            (Rate::mbps(155).bits_per_sec() * actual_window.secs());
+        const Rate mrtg_avail = Rate::mbps(155) * (1.0 - cross_util);
+        return Row{util, sim::UtilizationMonitor::quantize(mrtg_avail, Rate::mbps(6)),
+                   duration_weighted_average(samples), pl_runs};
+      });
 
   int hits = 0;
-  const int total_runs = 12;
-  Rng seed_stream{bench::seed()};  // one forked seed per run, as pre-harness
-  for (int run = 1; run <= total_runs; ++run) {
-    // Slightly different operating point each run, like a real path
-    // observed at different times of day.
-    const double util = 0.44 + 0.02 * run;  // 46%..68% -> A in [50, 87] Mb/s
-
-    scenario::ScenarioSpec spec = base.with_load(util);
-    spec.seed = seed_stream.fork().engine()();
-    const std::uint64_t seed = spec.seed;
-    scenario::ScenarioInstance inst{std::move(spec)};
-    inst.start();
-    sim::Simulator& sim = inst.simulator();
-
-    // MRTG-style byte counters over the window. Consecutive pathload runs
-    // themselves add ~R/10 of probe load to the link; in the paper that
-    // footprint is diluted across a 5-minute window, so we subtract the
-    // known probe bytes — straight from the EstimateReports — to get the
-    // cross-traffic avail-bw the paper's MRTG graphs effectively show.
-    const DataSize bytes_at_start = inst.path().link(0).bytes_forwarded();
-    const TimePoint window_start = sim.now();
-
-    scenario::SimProbeChannel channel{sim, inst.path()};
-    Rng rng{seed};
-
-    // Run pathload consecutively across the window, Eq. (11)-averaging.
-    std::vector<WeightedSample> samples;
-    const TimePoint window_end = sim.now() + window;
-    int pl_runs = 0;
-    DataSize probe_bytes{};
-    while (sim.now() < window_end) {
-      const core::EstimateReport report = estimator->run(channel, rng);
-      samples.push_back({report.center().mbits_per_sec(), report.elapsed});
-      probe_bytes += report.bytes_sent;
-      ++pl_runs;
-    }
-
-    const Duration actual_window = sim.now() - window_start;
-    const DataSize link_bytes =
-        inst.path().link(0).bytes_forwarded() - bytes_at_start;
-    const double cross_util =
-        (link_bytes - probe_bytes).bits() /
-        (Rate::mbps(155).bits_per_sec() * actual_window.secs());
-    const double pathload_avg = duration_weighted_average(samples);
-    const Rate mrtg_avail = Rate::mbps(155) * (1.0 - cross_util);
-    const auto band = sim::UtilizationMonitor::quantize(mrtg_avail, Rate::mbps(6));
-    const bool in_band = pathload_avg >= band.low.mbits_per_sec() &&
-                         pathload_avg <= band.high.mbits_per_sec();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const bool in_band = r.pathload_avg >= r.band.low.mbits_per_sec() &&
+                         r.pathload_avg <= r.band.high.mbits_per_sec();
     if (in_band) ++hits;
-
-    table.add_row({Table::num(run, 0), Table::num(util * 100, 0),
-                   "[" + Table::num(band.low.mbits_per_sec(), 0) + "," +
-                       Table::num(band.high.mbits_per_sec(), 0) + "]",
-                   Table::num(pathload_avg, 1), in_band ? "yes" : "no",
-                   Table::num(pl_runs, 0)});
+    table.add_row({Table::num(static_cast<double>(i + 1), 0), Table::num(r.util * 100, 0),
+                   "[" + Table::num(r.band.low.mbits_per_sec(), 0) + "," +
+                       Table::num(r.band.high.mbits_per_sec(), 0) + "]",
+                   Table::num(r.pathload_avg, 1), in_band ? "yes" : "no",
+                   Table::num(r.pl_runs, 0)});
   }
   table.print();
   std::printf("\nwithin MRTG band: %d / %d runs\n", hits, total_runs);

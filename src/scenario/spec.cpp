@@ -1042,6 +1042,21 @@ ScenarioInstance::ScenarioInstance(ScenarioSpec spec) : spec_{std::move(spec)} {
       }
     }
   }
+
+  const auto renewal_or_none = [](const HopDecl& h) {
+    return h.traffic.model != TrafficModel::kOnOff && h.traffic.model != TrafficModel::kRamp;
+  };
+  if (spec_.engine == EngineVersion::kV1 && !spec_.impaired() && !spec_.has_flows() &&
+      std::all_of(spec_.hops.begin(), spec_.hops.end(), renewal_or_none)) {
+    std::vector<std::vector<sim::CrossTrafficSource*>> sources(traffic_.size());
+    for (std::size_t i = 0; i < traffic_.size(); ++i) {
+      if (const auto* agg = dynamic_cast<const sim::TrafficAggregate*>(traffic_[i].get())) {
+        for (const auto& src : agg->sources()) sources[i].push_back(src.get());
+      }
+    }
+    run_ahead_ =
+        std::make_unique<sim::CrossTrafficRunAhead>(*sim_, *path_, std::move(sources));
+  }
 }
 
 void ScenarioInstance::build_v1_traffic() {

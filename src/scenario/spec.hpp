@@ -38,6 +38,7 @@
 #include "sim/traffic.hpp"
 
 #include "sim/flow.hpp"
+#include "sim/run_ahead.hpp"
 
 namespace pathload::scenario {
 
@@ -355,6 +356,11 @@ class ScenarioInstance {
   std::unique_ptr<sim::Path> path_;
   std::vector<std::unique_ptr<sim::TrafficGen>> traffic_;
   std::vector<std::unique_ptr<sim::ResponsiveFlow>> flows_;
+  // Engine v1 with renewal (or no) traffic on every hop, no impairments
+  // and no flows: the cross traffic runs ahead of the calendar between
+  // probes (sim::CrossTrafficRunAhead). Declared last so it uninstalls
+  // itself before the sources and links it drives are destroyed.
+  std::unique_ptr<sim::CrossTrafficRunAhead> run_ahead_;
   std::size_t tight_index_{0};
 };
 

@@ -13,9 +13,13 @@ void DelayLine::push(TimePoint at, PacketHandler* to, const Packet& p) {
   if (at < sim_.now()) {
     throw std::logic_error{"DelayLine::push: delivery time is in the past"};
   }
-  if (size_ == ring_.size()) grow();
   const Item item{at.nanos(), sim_.reserve_fifo_tickets(1), to, p};
-  // The fresh ticket is the largest yet, so only an earlier time can sort
+  if (insert(item) == 0) timer_.schedule_at(at, item.ticket);
+}
+
+std::size_t DelayLine::insert(const Item& item) {
+  if (size_ == ring_.size()) grow();
+  // A fresh ticket is the largest yet, so only an earlier time can sort
   // this item before an existing one.
   std::size_t pos = size_;
   while (pos > 0 && slot(pos - 1).at > item.at) {
@@ -24,7 +28,7 @@ void DelayLine::push(TimePoint at, PacketHandler* to, const Packet& p) {
   }
   slot(pos) = item;
   ++size_;
-  if (pos == 0) timer_.schedule_at(at, item.ticket);
+  return pos;
 }
 
 void DelayLine::grow() {
@@ -34,18 +38,27 @@ void DelayLine::grow() {
   head_ = 0;
 }
 
-void DelayLine::deliver() {
-  Item& front = ring_[head_];
-  PacketHandler* to = front.to;
-  const Packet pkt = front.pkt;
+DelayLine::Item DelayLine::pop_front() {
+  const Item front = ring_[head_];
   head_ = (head_ + 1) & (ring_.size() - 1);
   --size_;
-  // Re-arm before the handoff: the handler may push into this pipe again.
-  if (size_ > 0) {
-    const Item& next = ring_[head_];
-    timer_.schedule_at(TimePoint::from_nanos(next.at), next.ticket);
+  return front;
+}
+
+void DelayLine::rearm() {
+  if (size_ == 0) {
+    timer_.cancel();
+    return;
   }
-  to->handle(pkt);
+  const Item& front = ring_[head_];
+  timer_.schedule_at(TimePoint::from_nanos(front.at), front.ticket);
+}
+
+void DelayLine::deliver() {
+  const Item front = pop_front();
+  // Re-arm before the handoff: the handler may push into this pipe again.
+  if (size_ > 0) rearm();
+  front.to->handle(front.pkt);
 }
 
 }  // namespace pathload::sim

@@ -46,8 +46,19 @@ class DelayLine {
     Packet pkt;
   };
 
+  friend class CrossTrafficRunAhead;
+
   Item& slot(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  const Item& slot(std::size_t i) const {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
   void grow();
+  /// Place `item` in (time, ticket) order and return its position; at 0
+  /// it is the new front, whose key the timer must be armed at.
+  std::size_t insert(const Item& item);
+  Item pop_front();
+  /// Arm the timer at the front item's key, or disarm it when empty.
+  void rearm();
   void deliver();
 
   Simulator& sim_;

@@ -64,18 +64,23 @@ Duration Link::reorder_jitter() {
 }
 
 void Link::accept(const Packet& p) {
+  if (enqueue(p)) service_timer_.schedule_in(service_time());
+}
+
+bool Link::enqueue(const Packet& p) {
   if (busy_) {
     if (queued_bytes_ + p.size() > buffer_limit_) {
       ++drops_;
       if (p.flow != kCrossTrafficFlow) ++flow_drops_[p.flow];
-      return;
+      return false;
     }
     queue_.push_back(p);
     queued_bytes_ += p.size();
-    return;
+    return false;
   }
   in_service_ = p;
-  begin_service();
+  busy_ = true;
+  return true;
 }
 
 void Link::set_impairments(const LinkImpairments& imp) {
@@ -161,29 +166,27 @@ DataSize Link::bytes_forwarded() const {
   return bytes_forwarded_ + DataSize::bytes(static_cast<std::int64_t>(fluid));
 }
 
-void Link::begin_service() {
-  busy_ = true;
-  const Duration tx = capacity_.transmission_time(in_service_.size());
-  service_timer_.schedule_in(tx);
-}
-
 void Link::finish_service() {
-  bytes_forwarded_ += in_service_.size();
-  ++packets_forwarded_;
   if (downstream_ != nullptr) {
     // Propagation: the packet appears at the downstream node prop_delay
     // (plus any reorder jitter) after its last bit leaves this link.
     deliveries_.push(sim_.now() + (prop_delay_ + reorder_jitter()), downstream_,
                      in_service_);
   }
-  if (!queue_.empty()) {
-    in_service_ = queue_.front();
-    queue_.pop_front();
-    queued_bytes_ -= in_service_.size();
-    begin_service();
-  } else {
+  if (dequeue()) service_timer_.schedule_in(service_time());
+}
+
+bool Link::dequeue() {
+  bytes_forwarded_ += in_service_.size();
+  ++packets_forwarded_;
+  if (queue_.empty()) {
     busy_ = false;
+    return false;
   }
+  in_service_ = queue_.front();
+  queue_.pop_front();
+  queued_bytes_ -= in_service_.size();
+  return true;
 }
 
 std::uint64_t Link::drops_for_flow(std::uint32_t flow) const {

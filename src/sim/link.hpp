@@ -151,14 +151,26 @@ class Link final : public PacketHandler {
   /// The reorder-jitter draw for one forwarded copy (zero if disabled).
   Duration reorder_jitter();
   void accept(const Packet& p);
+  /// The drop-tail FIFO step of one accepted copy: true when the link was
+  /// idle and the copy is now in service, its serialization ending
+  /// service_time() later. accept() and CrossTrafficRunAhead both queue
+  /// through here, as both end serializations through dequeue().
+  bool enqueue(const Packet& p);
+  /// End of the current serialization: count the packet in service, then
+  /// start the next queued one; true when one starts.
+  bool dequeue();
+  Duration service_time() const {
+    return capacity_.transmission_time(in_service_.size());
+  }
   /// One copy's drop-tail check and FIFO transit against the workload
   /// settled to `arrival`: its arrival downstream before jitter, or nullopt
   /// if drop-tailed (already counted).
   std::optional<TimePoint> fluid_transit(const Packet& p, TimePoint arrival);
   void settle_fluid();
   void settle_fluid_at(TimePoint now);
-  void begin_service();
   void finish_service();
+
+  friend class CrossTrafficRunAhead;
 
   Simulator& sim_;
   std::string name_;

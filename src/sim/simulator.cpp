@@ -89,11 +89,6 @@ void Simulator::schedule_now(Callback cb) {
   insert(Key{now_.nanos(), ++seq_, s, s->gen});
 }
 
-std::uint64_t Simulator::reserve_fifo_tickets(std::uint32_t n) {
-  seq_ += n;
-  return seq_ - n + 1;
-}
-
 void Simulator::arm_timer(Slot* slot, TimePoint t) {
   // Validate before consuming a ticket: a caller that catches the error and
   // continues must not find the FIFO numbering shifted (schedule_at makes
@@ -113,6 +108,7 @@ void Simulator::arm_validated(Slot* slot, TimePoint t, std::uint64_t ticket) {
     --live_;
   }
   slot->armed = true;
+  slot->key = EventKey{t.nanos(), ticket};
   insert(Key{t.nanos(), ticket, slot, slot->gen});
 }
 
@@ -265,6 +261,7 @@ bool Simulator::run_next() {
 
 void Simulator::run_until(TimePoint t) {
   const std::int64_t tn = t.nanos();
+  if (run_ahead_ != nullptr && t > now_) run_ahead_->run_ahead(t);
   Key k;  // NOLINT(cppcoreguidelines-pro-type-member-init)
   while (pop_live(k)) {
     if (k.at > tn) {

@@ -48,6 +48,27 @@ class Simulator {
 
   class TimerHandle;
 
+  /// The (time, FIFO ticket) key a scheduled occurrence fires at; events
+  /// run in ascending key order.
+  struct EventKey {
+    std::int64_t at;  // absolute ns
+    std::uint64_t ticket;
+  };
+
+  /// An owner of timers that can execute their events without the
+  /// calendar (sim::CrossTrafficRunAhead). run_until(t) offers it every
+  /// horizon first: it either declines and leaves the queue untouched, or
+  /// executes every event of its own that is due at or before `t` --
+  /// leaving the state, the tickets and the counters where the calendar
+  /// would, and counting the events with note_run_ahead() -- and re-arms
+  /// its timers at their next keys, so the calendar finds nothing left to
+  /// do up to `t`.
+  class RunAhead {
+   public:
+    virtual ~RunAhead() = default;
+    virtual void run_ahead(TimePoint t) = 0;
+  };
+
   Simulator();
   ~Simulator();
 
@@ -82,7 +103,10 @@ class Simulator {
   /// attaches them to later timer re-arms: equal-timestamp ordering against
   /// other events is then exactly as if all occurrences had been scheduled
   /// upfront, which keeps runs bit-identical to the pre-timer engine.
-  std::uint64_t reserve_fifo_tickets(std::uint32_t n);
+  std::uint64_t reserve_fifo_tickets(std::uint32_t n) {
+    seq_ += n;
+    return seq_ - n + 1;
+  }
 
   /// Run a single event; returns false if the queue is empty.
   bool run_next();
@@ -98,6 +122,16 @@ class Simulator {
   void run_all();
 
   std::uint64_t events_processed() const { return processed_; }
+  /// The subset of events_processed() a RunAhead executed off the calendar.
+  std::uint64_t events_run_ahead() const { return run_ahead_events_; }
+  /// Count `n` events a RunAhead executed (in both counters above).
+  void note_run_ahead(std::uint64_t n) {
+    processed_ += n;
+    run_ahead_events_ += n;
+  }
+  /// Install (or clear, with nullptr) the object run_until offers each
+  /// horizon to; not owned, and it must outlive its installation.
+  void set_run_ahead(RunAhead* r) { run_ahead_ = r; }
   /// Live (not cancelled) scheduled occurrences.
   std::size_t pending_events() const { return live_; }
 
@@ -124,6 +158,7 @@ class Simulator {
     bool armed{false};       // timer slot: has a live key in the queue
     bool firing{false};      // timer slot: its callback is on the stack
     bool zombie{false};      // released mid-fire: recycle after cb returns
+    EventKey key{};          // timer slot: the pending key while armed
   };
 
   /// What the queue actually orders: trivially copyable, 32 bytes. The
@@ -186,6 +221,8 @@ class Simulator {
   TimePoint now_{TimePoint::origin()};
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};
+  std::uint64_t run_ahead_events_{0};
+  RunAhead* run_ahead_{nullptr};
   std::size_t live_{0};
   std::uint64_t packet_ids_{0};
   std::uint32_t flow_ids_{0};
@@ -242,6 +279,8 @@ class Simulator::TimerHandle {
 
   /// True if an occurrence is scheduled and not yet fired.
   bool pending() const { return sim_ != nullptr && slot_->armed; }
+  /// The pending occurrence's key; meaningful only while pending().
+  EventKey pending_key() const { return slot_->key; }
 
   explicit operator bool() const { return sim_ != nullptr; }
 

@@ -76,19 +76,26 @@ Duration CrossTrafficSource::next_interarrival() {
   return Duration::seconds(mean_gap_secs_);
 }
 
-void CrossTrafficSource::emit_and_reschedule() {
-  if (!running_) return;
-  Packet p;
+CrossTrafficSource::Emission CrossTrafficSource::emit(TimePoint now) {
+  Emission e;
+  Packet& p = e.packet;
   p.id = sim_.next_packet_id();
   p.flow = kCrossTrafficFlow;
   p.kind = PacketKind::kCrossTraffic;
   p.size_bytes = mix_.sample(rng_);
   p.transit = false;
-  p.entered = sim_.now();
-  target_.handle(p);
+  p.entered = now;
   ++packets_sent_;
   bytes_sent_ += p.size();
-  timer_.schedule_in(next_interarrival());
+  e.gap = next_interarrival();
+  return e;
+}
+
+void CrossTrafficSource::emit_and_reschedule() {
+  if (!running_) return;
+  const Emission e = emit(sim_.now());
+  target_.handle(e.packet);
+  timer_.schedule_in(e.gap);
 }
 
 TrafficAggregate::TrafficAggregate(Simulator& sim, PacketHandler& target,

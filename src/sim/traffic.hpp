@@ -114,6 +114,17 @@ class CrossTrafficSource {
   CrossTrafficSource& operator=(const CrossTrafficSource&) = delete;
 
  private:
+  friend class CrossTrafficRunAhead;
+
+  /// One emission at `now`: the packet (its id taken, its size drawn) and
+  /// the gap to the next emission, drawn after it. The timer callback and
+  /// CrossTrafficRunAhead both emit through here, so the draw order exists
+  /// once; handing the packet on is the caller's.
+  struct Emission {
+    Packet packet;
+    Duration gap;
+  };
+  Emission emit(TimePoint now);
   void emit_and_reschedule();
   Duration next_interarrival();
 
@@ -152,6 +163,9 @@ class TrafficAggregate final : public TrafficGen {
 
   DataSize bytes_sent() const override;
   int source_count() const { return static_cast<int>(sources_.size()); }
+  const std::vector<std::unique_ptr<CrossTrafficSource>>& sources() const {
+    return sources_;
+  }
 
  private:
   std::vector<std::unique_ptr<CrossTrafficSource>> sources_;
