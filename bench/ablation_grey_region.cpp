@@ -34,34 +34,33 @@ int main() {
   spec.paper->sources_per_link = 4;      // low multiplexing -> strong variability
   spec.hops = spec.paper->derive_hops();
 
-  // Full algorithm at two grey resolutions.
-  for (double chi : {1.5, 0.5}) {
+  // Full algorithm at two grey resolutions, then the naive variant: force
+  // grey fleets to count as "above" by requiring only a minimal agreement
+  // (f -> 0.5 makes almost every fleet decisive) — the closest
+  // configuration-level approximation of "no grey region".
+  core::PathloadConfig chi_coarse, chi_fine, no_grey;
+  chi_coarse.chi = Rate::mbps(1.5);
+  chi_fine.chi = Rate::mbps(0.5);
+  no_grey.fleet_fraction = 0.51;
+  const struct {
+    const char* variant;
+    const char* chi;
     core::PathloadConfig tool;
-    tool.chi = Rate::mbps(chi);
-    const auto rr =
-        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
-    table.add_row({"grey-region", Table::num(chi, 1),
-                   Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
-                   Table::num(rr.coverage(Rate::mbps(2.5)) * 100, 0) + "%",
-                   Table::num(rr.mean_fleets(), 1),
-                   Table::num(rr.mean_elapsed().secs(), 1)});
-  }
+  } variants[] = {{"grey-region", "1.5", chi_coarse},
+                  {"grey-region", "0.5", chi_fine},
+                  {"no-grey(f=0.51)", "-", no_grey}};
 
-  // Naive variant: force grey fleets to count as "above" by requiring only
-  // a minimal agreement (f -> 0.5 makes almost every fleet decisive) —
-  // the closest configuration-level approximation of "no grey region".
-  {
-    core::PathloadConfig tool;
-    tool.fleet_fraction = 0.51;
-    const auto rr =
-        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
-    table.add_row({"no-grey(f=0.51)", "-",
-                   Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
-                   Table::num(rr.coverage(Rate::mbps(2.5)) * 100, 0) + "%",
-                   Table::num(rr.mean_fleets(), 1),
-                   Table::num(rr.mean_elapsed().secs(), 1)});
+  bench::PathloadSweep sweep;
+  for (const auto& v : variants) sweep.add(spec, bench::seed(), v.tool);
+  const auto cells = sweep.run(runs, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    table.add_row({variants[i].variant, variants[i].chi,
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%",
+                   Table::num(c.mean_fleets(), 1),
+                   Table::num(c.mean_elapsed().secs(), 1)});
   }
   table.print();
   bench::expectation(

@@ -35,14 +35,18 @@ void run_detector_comparison(int runs) {
   // The Fig. 5 path is exactly the registry's paper-path preset — no
   // inline re-dimensioning needed.
   const scenario::ScenarioSpec& spec = scenario::Registry::builtin().at("paper-path");
+  bench::PathloadSweep sweep;
   for (const auto& d : detectors) {
     core::PathloadConfig tool;
     tool.trend.mode = d.mode;
-    const auto rr =
-        scenario::sweep_scenario_repeated(spec, tool, runs, bench::seed(), runner);
-    table.add_row({d.name, "4.0", Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
-                   Table::num(rr.coverage(Rate::mbps(4)) * 100, 0) + "%"});
+    sweep.add(spec, bench::seed(), tool);
+  }
+  const auto cells = sweep.run(runs, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    table.add_row({detectors[i].name, "4.0", Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%"});
   }
   table.print();
 }

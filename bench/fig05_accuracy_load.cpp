@@ -29,32 +29,27 @@ int main() {
                "center", "covers_A", "cv_low", "cv_high"}};
 
   // The path definitions live in the scenario registry; this bench only
-  // sweeps their tight-link load. `scenario_runner --run <preset> --sweep
+  // sweeps their tight-link load, with plan_matrix's per-point seed
+  // (seed + util*1000). `scenario_runner --run <preset> --sweep
   // load=0.2,0.5,0.75,0.9` reproduces these rows byte-for-byte.
   const auto& registry = scenario::Registry::builtin();
-  const struct {
-    const char* label;
-    const char* preset;
-  } models[] = {{"poisson", "paper-path-poisson"}, {"pareto1.9", "paper-path"}};
+  const char* labels[] = {"poisson", "pareto1.9"};
+  const std::vector<double> loads{0.20, 0.50, 0.75, 0.90};
+  // Defaults: K=100, N=12, omega=1, chi=1.5.
+  const auto cells = scenario::run_matrix(
+      {bench::pathload_column()},
+      {registry.at("paper-path-poisson"), registry.at("paper-path")}, loads, runs,
+      bench::seed(), runner);
 
-  for (const auto& m : models) {
-    for (double util : {0.20, 0.50, 0.75, 0.90}) {
-      const scenario::ScenarioSpec spec = registry.at(m.preset).with_load(util);
-
-      core::PathloadConfig tool;  // defaults: K=100, N=12, omega=1, chi=1.5
-
-      const auto rr = scenario::sweep_scenario_repeated(spec, tool, runs,
-                                                        bench::seed() + (util * 1000),
-                                                        runner);
-      const Rate truth = spec.avail_bw();
-      table.add_row({m.label, Table::num(util * 100, 0),
-                     Table::num(truth.mbits_per_sec(), 1),
-                     Table::num(rr.mean_low().mbits_per_sec(), 2),
-                     Table::num(rr.mean_high().mbits_per_sec(), 2),
-                     Table::num((rr.mean_low() + rr.mean_high()).mbits_per_sec() / 2, 2),
-                     Table::num(rr.coverage(truth) * 100, 0) + "%",
-                     Table::num(rr.cv_low(), 2), Table::num(rr.cv_high(), 2)});
-    }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    table.add_row({labels[i / loads.size()], Table::num(c.load * 100, 0),
+                   Table::num(c.truth.mbits_per_sec(), 1),
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num((c.mean_low() + c.mean_high()).mbits_per_sec() / 2, 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%",
+                   Table::num(c.cv_low(), 2), Table::num(c.cv_high(), 2)});
   }
   table.print();
   bench::expectation(

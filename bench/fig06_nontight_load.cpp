@@ -30,25 +30,27 @@ int main() {
   // topology; this bench varies only its hop count and non-tight load.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
 
+  bench::PathloadSweep sweep;
   for (int hops : {3, 6}) {
     for (double ux : {0.20, 0.40, 0.60, 0.80}) {
       scenario::ScenarioSpec spec = base;
       spec.paper->hops = hops;
       spec.paper->nontight_utilization = ux;
       spec.hops = spec.paper->derive_hops();
-
-      core::PathloadConfig tool;
-      const auto rr = scenario::sweep_scenario_repeated(
-          spec, tool, runs, bench::seed() + hops * 10000 + (ux * 100),
-          runner);
-      const Rate truth = spec.avail_bw();
-      table.add_row({Table::num(hops, 0), Table::num(ux * 100, 0),
-                     Table::num(truth.mbits_per_sec(), 1),
-                     Table::num(rr.mean_low().mbits_per_sec(), 2),
-                     Table::num(rr.mean_high().mbits_per_sec(), 2),
-                     Table::num((rr.mean_low() + rr.mean_high()).mbits_per_sec() / 2, 2),
-                     Table::num(rr.coverage(truth) * 100, 0) + "%"});
+      sweep.add(std::move(spec),
+                static_cast<std::uint64_t>(bench::seed() + hops * 10000 + (ux * 100)));
     }
+  }
+  const auto cells = sweep.run(runs, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    const scenario::PaperPathConfig& paper = *sweep.plans()[i].spec.paper;
+    table.add_row({Table::num(paper.hops, 0), Table::num(paper.nontight_utilization * 100, 0),
+                   Table::num(c.truth.mbits_per_sec(), 1),
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num((c.mean_low() + c.mean_high()).mbits_per_sec() / 2, 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%"});
   }
   table.print();
   bench::expectation(

@@ -30,30 +30,32 @@ int main() {
   // topology; this bench varies only its hop count and tightness factor.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
 
+  bench::PathloadSweep sweep;
   for (int hops : {3, 6}) {
     for (double beta : {1.0, 1.2, 1.5, 2.0}) {
       scenario::ScenarioSpec spec = base;
       spec.paper->hops = hops;
       spec.paper->beta = beta;
       spec.hops = spec.paper->derive_hops();
-
-      core::PathloadConfig tool;
-      const auto rr = scenario::sweep_scenario_repeated(
-          spec, tool, runs, bench::seed() + hops * 1000 + (beta * 100),
-          runner);
-      const Rate truth = spec.avail_bw();
-      const double center =
-          (rr.mean_low() + rr.mean_high()).mbits_per_sec() / 2.0;
-      const double underestimate =
-          (truth.mbits_per_sec() - center) / truth.mbits_per_sec() * 100.0;
-      table.add_row({Table::num(hops, 0), Table::num(beta, 1),
-                     Table::num(truth.mbits_per_sec(), 1),
-                     Table::num(rr.mean_low().mbits_per_sec(), 2),
-                     Table::num(rr.mean_high().mbits_per_sec(), 2),
-                     Table::num(center, 2),
-                     Table::num(rr.coverage(truth) * 100, 0) + "%",
-                     Table::num(underestimate, 1)});
+      sweep.add(std::move(spec),
+                static_cast<std::uint64_t>(bench::seed() + hops * 1000 + (beta * 100)));
     }
+  }
+  const auto cells = sweep.run(runs, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    const scenario::PaperPathConfig& paper = *sweep.plans()[i].spec.paper;
+    const Rate truth = c.truth;
+    const double center = (c.mean_low() + c.mean_high()).mbits_per_sec() / 2.0;
+    const double underestimate =
+        (truth.mbits_per_sec() - center) / truth.mbits_per_sec() * 100.0;
+    table.add_row({Table::num(paper.hops, 0), Table::num(paper.beta, 1),
+                   Table::num(truth.mbits_per_sec(), 1),
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num(center, 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%",
+                   Table::num(underestimate, 1)});
   }
   table.print();
   bench::expectation(

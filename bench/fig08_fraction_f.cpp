@@ -29,16 +29,20 @@ int main() {
   const scenario::ScenarioSpec spec =
       scenario::Registry::builtin().at("paper-path").with_load(0.5);
 
-  for (double f : {0.5, 0.6, 0.7, 0.8, 0.9}) {
+  const double fractions[] = {0.5, 0.6, 0.7, 0.8, 0.9};
+  bench::PathloadSweep sweep;
+  for (double f : fractions) {
     core::PathloadConfig tool;
     tool.fleet_fraction = f;
-
-    const auto rr = scenario::sweep_scenario_repeated(
-        spec, tool, repeats, bench::seed() + (f * 100), runner);
-    table.add_row({Table::num(f, 2), "5.0",
-                   Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
-                   Table::num((rr.mean_high() - rr.mean_low()).mbits_per_sec(), 2)});
+    sweep.add(spec, static_cast<std::uint64_t>(bench::seed() + (f * 100)), tool);
+  }
+  const auto cells = sweep.run(repeats, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    table.add_row({Table::num(fractions[i], 2), "5.0",
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num((c.mean_high() - c.mean_low()).mbits_per_sec(), 2)});
   }
   table.print();
   bench::expectation(

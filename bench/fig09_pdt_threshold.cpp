@@ -29,17 +29,21 @@ int main() {
   const scenario::ScenarioSpec spec =
       scenario::Registry::builtin().at("paper-path").with_load(0.5);
 
-  for (double thr : {0.05, 0.20, 0.40, 0.60, 0.80, 0.95}) {
+  const double thresholds[] = {0.05, 0.20, 0.40, 0.60, 0.80, 0.95};
+  bench::PathloadSweep sweep;
+  for (double thr : thresholds) {
     core::PathloadConfig tool;
     tool.trend.mode = core::TrendConfig::Mode::kPdtOnly;
     tool.trend.pdt_threshold = thr;
-
-    const auto rr = scenario::sweep_scenario_repeated(
-        spec, tool, repeats, bench::seed() + (thr * 100), runner);
-    table.add_row({Table::num(thr, 2), "5.0",
-                   Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
-                   Table::num((rr.mean_low() + rr.mean_high()).mbits_per_sec() / 2, 2)});
+    sweep.add(spec, static_cast<std::uint64_t>(bench::seed() + (thr * 100)), tool);
+  }
+  const auto cells = sweep.run(repeats, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    table.add_row({Table::num(thresholds[i], 2), "5.0",
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num((c.mean_low() + c.mean_high()).mbits_per_sec() / 2, 2)});
   }
   table.print();
   bench::expectation(

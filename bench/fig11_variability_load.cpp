@@ -27,43 +27,27 @@ int main() {
   } loads[] = {{"u=20-30%", 0.20, 0.30}, {"u=40-50%", 0.40, 0.50},
                {"u=75-85%", 0.75, 0.85}};
 
-  Table table{{"percentile", "rho(u=20-30%)", "rho(u=40-50%)", "rho(u=75-85%)"}};
-  std::vector<std::vector<double>> rho_columns;
   scenario::SweepRunner runner;
 
   // The shared path shape (single 12.4 Mb/s hop, Pareto cross traffic,
   // 1 s warmup) lives in the registry; each point overrides only the
   // swept utilization and its seed.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("fig11-access");
-  const core::PathloadConfig tool;  // defaults: omega = 1, chi = 1.5 Mb/s (Section VI)
-
+  // Enumerate the points (drawing utilizations and seeds) sequentially so
+  // the sweep is identical however many threads execute it: one
+  // single-run cell of default pathload (omega = 1, chi = 1.5 Mb/s,
+  // Section VI) per drawn (utilization, seed).
+  bench::PathloadSweep sweep;
   for (const auto& load : loads) {
-    // Enumerate the points (drawing utilizations and seeds) sequentially so
-    // the sweep is identical however many threads execute it.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(load.lo * 1000)};
-    std::vector<scenario::ScenarioSpec> specs;
-    std::vector<std::uint64_t> seeds;
     for (int i = 0; i < runs; ++i) {
-      specs.push_back(base.with_load(rng.uniform(load.lo, load.hi)));
-      seeds.push_back(rng.engine()());
+      scenario::ScenarioSpec spec = base.with_load(rng.uniform(load.lo, load.hi));
+      sweep.add(std::move(spec), rng.engine()());
     }
-    const auto results = runner.map(specs.size(), [&](std::size_t i) {
-      return scenario::run_scenario_once(specs[i], tool, seeds[i]);
-    });
-    std::vector<double> rhos;
-    rhos.reserve(results.size());
-    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
-    rho_columns.push_back(std::move(rhos));
   }
-
-  for (int p = 5; p <= 95; p += 10) {
-    std::vector<std::string> row{Table::num(p, 0)};
-    for (const auto& col : rho_columns) {
-      row.push_back(Table::num(percentile(col, p / 100.0), 3));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
+  const auto rho_columns = bench::rho_columns(sweep.run(1, runner), std::size(loads));
+  bench::print_rho_cdf({"percentile", "rho(u=20-30%)", "rho(u=40-50%)", "rho(u=75-85%)"},
+                       rho_columns);
   std::printf("\n75th-pct ratio heavy/light: %.1fx\n",
               percentile(rho_columns[2], 0.75) /
                   std::max(1e-9, percentile(rho_columns[0], 0.75)));

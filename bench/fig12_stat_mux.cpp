@@ -34,39 +34,21 @@ int main() {
                {"B:12.4Mbps/n=24", "fig12-crete", 12.4},
                {"C:6.1Mbps/n=6", "fig12-pireaus", 6.1}};
 
-  Table table{{"percentile", "rho(A)", "rho(B)", "rho(C)"}};
-  std::vector<std::vector<double>> rho_columns;
   scenario::SweepRunner runner;
-  const core::PathloadConfig tool;
 
+  // Points (utilization draws and seeds) are enumerated sequentially; only
+  // the independent single-run cells run on the pool.
+  bench::PathloadSweep sweep;
   for (const auto& p : paths) {
     const scenario::ScenarioSpec& base = scenario::Registry::builtin().at(p.preset);
-    // Points (utilization draws and seeds) are enumerated sequentially; only
-    // the independent simulations run on the pool.
     Rng rng{bench::seed() + static_cast<std::uint64_t>(p.capacity_mbps * 10)};
-    std::vector<scenario::ScenarioSpec> specs;
-    std::vector<std::uint64_t> seeds;
     for (int i = 0; i < runs; ++i) {
-      specs.push_back(base.with_load(rng.uniform(0.60, 0.70)));
-      seeds.push_back(rng.engine()());
+      scenario::ScenarioSpec spec = base.with_load(rng.uniform(0.60, 0.70));
+      sweep.add(std::move(spec), rng.engine()());
     }
-    const auto results = runner.map(specs.size(), [&](std::size_t i) {
-      return scenario::run_scenario_once(specs[i], tool, seeds[i]);
-    });
-    std::vector<double> rhos;
-    rhos.reserve(results.size());
-    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
-    rho_columns.push_back(std::move(rhos));
   }
-
-  for (int p = 5; p <= 95; p += 10) {
-    std::vector<std::string> row{Table::num(p, 0)};
-    for (const auto& col : rho_columns) {
-      row.push_back(Table::num(percentile(col, p / 100.0), 3));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
+  const auto rho_columns = bench::rho_columns(sweep.run(1, runner), std::size(paths));
+  bench::print_rho_cdf({"percentile", "rho(A)", "rho(B)", "rho(C)"}, rho_columns);
   std::printf("\n75th-pct rho: A=%.2f  B=%.2f  C=%.2f\n",
               percentile(rho_columns[0], 0.75), percentile(rho_columns[1], 0.75),
               percentile(rho_columns[2], 0.75));

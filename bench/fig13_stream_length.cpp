@@ -22,8 +22,6 @@ int main() {
   const int runs = bench::runs(30);
   std::printf("(runs per K: %d; paper used 110)\n\n", runs);
 
-  Table table{{"percentile", "rho(K=100)", "rho(K=200)", "rho(K=1000)"}};
-  std::vector<std::vector<double>> rho_columns;
   scenario::SweepRunner runner;
 
   // The path is the registry's paper-path preset collapsed to its tight
@@ -37,31 +35,19 @@ int main() {
   spec.paper->tight_utilization = 0.55;  // A = 4.5 Mb/s
   spec.hops = spec.paper->derive_hops();
 
-  for (int k : {100, 200, 1000}) {
-    // Draw every run's seed before any run starts, so the sweep is
-    // identical however many threads execute it.
-    Rng rng{bench::seed() + static_cast<std::uint64_t>(k)};
-    std::vector<std::uint64_t> seeds;
-    for (int i = 0; i < runs; ++i) seeds.push_back(rng.engine()());
-
+  // Draw every run's seed before any run starts, so the sweep is
+  // identical however many threads execute it.
+  const int lengths[] = {100, 200, 1000};
+  bench::PathloadSweep sweep;
+  for (int k : lengths) {
     core::PathloadConfig tool;
     tool.packets_per_stream = k;
-    const auto results = runner.map(seeds.size(), [&](std::size_t i) {
-      return scenario::run_scenario_once(spec, tool, seeds[i]);
-    });
-    std::vector<double> rhos;
-    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
-    rho_columns.push_back(std::move(rhos));
+    Rng rng{bench::seed() + static_cast<std::uint64_t>(k)};
+    for (int i = 0; i < runs; ++i) sweep.add(spec, rng.engine()(), tool);
   }
-
-  for (int p = 5; p <= 95; p += 10) {
-    std::vector<std::string> row{Table::num(p, 0)};
-    for (const auto& col : rho_columns) {
-      row.push_back(Table::num(percentile(col, p / 100.0), 3));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
+  const auto rho_columns = bench::rho_columns(sweep.run(1, runner), std::size(lengths));
+  bench::print_rho_cdf({"percentile", "rho(K=100)", "rho(K=200)", "rho(K=1000)"},
+                       rho_columns);
   std::printf("\n75th-pct rho: K=100: %.2f  K=200: %.2f  K=1000: %.2f\n",
               percentile(rho_columns[0], 0.75), percentile(rho_columns[1], 0.75),
               percentile(rho_columns[2], 0.75));

@@ -21,9 +21,6 @@ int main() {
   const int runs = bench::runs(30);
   std::printf("(runs per N: %d; paper used 110)\n\n", runs);
 
-  Table table{{"percentile", "rho(N=6)", "rho(N=12)", "rho(N=24)"}};
-  std::vector<std::vector<double>> rho_columns;
-  std::vector<double> spreads;
   scenario::SweepRunner runner;
 
   // Same path derivation as bench/fig13: the paper-path preset collapsed
@@ -35,31 +32,21 @@ int main() {
   spec.paper->tight_utilization = 0.55;
   spec.hops = spec.paper->derive_hops();
 
-  for (int n : {6, 12, 24}) {
-    // Seeds are drawn before any run starts (see bench/fig13).
-    Rng rng{bench::seed() + static_cast<std::uint64_t>(n)};
-    std::vector<std::uint64_t> seeds;
-    for (int i = 0; i < runs; ++i) seeds.push_back(rng.engine()());
-
+  // Seeds are drawn before any run starts (see bench/fig13).
+  const int lengths[] = {6, 12, 24};
+  bench::PathloadSweep sweep;
+  for (int n : lengths) {
     core::PathloadConfig tool;
     tool.streams_per_fleet = n;
-    const auto results = runner.map(seeds.size(), [&](std::size_t i) {
-      return scenario::run_scenario_once(spec, tool, seeds[i]);
-    });
-    std::vector<double> rhos;
-    for (const auto& r : results) rhos.push_back(r.range.relative_variation());
+    Rng rng{bench::seed() + static_cast<std::uint64_t>(n)};
+    for (int i = 0; i < runs; ++i) sweep.add(spec, rng.engine()(), tool);
+  }
+  const auto rho_columns = bench::rho_columns(sweep.run(1, runner), std::size(lengths));
+  std::vector<double> spreads;
+  for (const auto& rhos : rho_columns) {
     spreads.push_back(percentile(rhos, 0.95) - percentile(rhos, 0.05));
-    rho_columns.push_back(std::move(rhos));
   }
-
-  for (int p = 5; p <= 95; p += 10) {
-    std::vector<std::string> row{Table::num(p, 0)};
-    for (const auto& col : rho_columns) {
-      row.push_back(Table::num(percentile(col, p / 100.0), 3));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
+  bench::print_rho_cdf({"percentile", "rho(N=6)", "rho(N=12)", "rho(N=24)"}, rho_columns);
   std::printf("\nmedian rho: N=6: %.2f  N=12: %.2f  N=24: %.2f\n",
               percentile(rho_columns[0], 0.5), percentile(rho_columns[1], 0.5),
               percentile(rho_columns[2], 0.5));

@@ -29,31 +29,39 @@ int main() {
   // The registry's paper-path preset is the topology baseline; each point
   // re-dimensions only the tight link.
   const scenario::ScenarioSpec& base = scenario::Registry::builtin().at("paper-path");
+  const double omegas[] = {1.0, 0.5};
+  bench::PathloadSweep sweep;
   for (const auto& pt : points) {
-    for (double omega : {1.0, 0.5}) {
+    for (double omega : omegas) {
       scenario::ScenarioSpec spec = base;
       spec.paper->tight_capacity = Rate::mbps(pt.cap);
       spec.paper->tight_utilization = pt.util;
       spec.hops = spec.paper->derive_hops();
-
       core::PathloadConfig tool;
       tool.omega = Rate::mbps(omega);
       tool.chi = Rate::mbps(omega * 1.5);
-
-      const auto rr = scenario::sweep_scenario_repeated(
-          spec, tool, runs, bench::seed() + (pt.cap * 100 + omega * 10),
-          runner);
-      double mean_bytes = 0.0;
-      for (const auto& r : rr.results) {
-        mean_bytes += static_cast<double>(r.bytes_sent.byte_count());
-      }
-      mean_bytes /= static_cast<double>(rr.results.size());
-      table.add_row({Table::num(pt.cap, 0),
-                     Table::num(pt.cap * (1 - pt.util), 1), Table::num(omega, 1),
-                     Table::num(rr.mean_elapsed().secs(), 1),
-                     Table::num(rr.mean_fleets(), 1),
-                     Table::num(mean_bytes / 1e6, 2)});
+      sweep.add(std::move(spec),
+                static_cast<std::uint64_t>(bench::seed() + (pt.cap * 100 + omega * 10)),
+                tool);
     }
+  }
+  const auto cells = sweep.run(runs, runner);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const scenario::MatrixCell& c = cells[i];
+    const auto& pt = points[i / std::size(omegas)];
+    const double omega = omegas[i % std::size(omegas)];
+    // Mean footprint in full-precision bytes (MatrixCell::mean_bytes
+    // truncates to whole bytes).
+    double mean_bytes = 0.0;
+    for (const auto& r : c.reports) {
+      mean_bytes += static_cast<double>(r.bytes_sent.byte_count());
+    }
+    mean_bytes /= static_cast<double>(c.reports.size());
+    table.add_row({Table::num(pt.cap, 0),
+                   Table::num(pt.cap * (1 - pt.util), 1), Table::num(omega, 1),
+                   Table::num(c.mean_elapsed().secs(), 1),
+                   Table::num(c.mean_fleets(), 1),
+                   Table::num(mean_bytes / 1e6, 2)});
   }
   table.print();
   bench::expectation(

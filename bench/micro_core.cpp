@@ -12,6 +12,8 @@
 
 #include "baselines/btc.hpp"
 #include "baselines/estimators.hpp"
+#include "bench/common.hpp"
+#include "core/session.hpp"
 #include "core/stream.hpp"
 #include "core/trend.hpp"
 #include "fluid/fluid_model.hpp"
@@ -187,14 +189,17 @@ scenario::ScenarioSpec v2_spec(std::string_view preset) {
 // True if a seed-77 pathload session on `spec` is byte-identical with burst
 // batching off and on.
 bool batching_invisible(const scenario::ScenarioSpec& spec) {
-  core::PathloadConfig tool;
-  scenario::SimProbeChannel::set_burst_batching(false);
-  const auto off = scenario::run_scenario_once(spec, tool, 77);
-  scenario::SimProbeChannel::set_burst_batching(true);
-  const auto on = scenario::run_scenario_once(spec, tool, 77);
-  return off.range.low.bits_per_sec() == on.range.low.bits_per_sec() &&
-         off.range.high.bits_per_sec() == on.range.high.bits_per_sec() &&
-         off.elapsed.nanos() == on.elapsed.nanos() && off.fleets == on.fleets;
+  auto run = [&](bool batching) {
+    scenario::SimProbeChannel::set_burst_batching(batching);
+    core::PathloadSession pathload;
+    return scenario::run_estimator_once(spec, pathload, 77);
+  };
+  const auto off = run(false);
+  const auto on = run(true);
+  return off.low.bits_per_sec() == on.low.bits_per_sec() &&
+         off.high.bits_per_sec() == on.high.bits_per_sec() &&
+         off.elapsed.nanos() == on.elapsed.nanos() &&
+         off.iterations.size() == on.iterations.size();
 }
 
 void BM_ProbeFleetSecond(benchmark::State& state) {
@@ -217,11 +222,11 @@ void BM_ProbeFleetSecond(benchmark::State& state) {
   }
   const scenario::ScenarioSpec spec =
       v2_spec(state.range(0) == 2 ? "lossy-tight" : "paper-path");
-  const core::PathloadConfig tool;
   scenario::SimProbeChannel::set_burst_batching(state.range(0) != 0);
   for (auto _ : state) {
-    const auto res = scenario::run_scenario_once(spec, tool, 77);
-    benchmark::DoNotOptimize(res.fleets);
+    core::PathloadSession pathload;
+    const auto res = scenario::run_estimator_once(spec, pathload, 77);
+    benchmark::DoNotOptimize(res.iterations.data());
   }
   scenario::SimProbeChannel::set_burst_batching(true);
 }
@@ -348,13 +353,14 @@ void BM_SweepRunner(benchmark::State& state) {
   path.hops = 1;
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
-  const core::PathloadConfig tool;
   auto spec = scenario::ScenarioSpec::from_paper("sweep", "", path);
   spec.warmup = Duration::milliseconds(200);
+  const scenario::MatrixEstimator pathload = bench::pathload_column();
   scenario::SweepRunner runner{static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    const auto rr = scenario::sweep_scenario_repeated(spec, tool, 4, /*seed0=*/7, runner);
-    benchmark::DoNotOptimize(rr.results.data());
+    const auto cells =
+        scenario::run_matrix({pathload}, {spec}, {}, 4, /*seed0=*/7, runner);
+    benchmark::DoNotOptimize(cells.data());
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }

@@ -5,11 +5,16 @@
 //
 // For each utilization point, runs several pathload measurements and
 // reports the distribution of the relative variation rho = width/center
-// (Eq. 12). Demonstrates the RepeatedRuns experiment API.
+// (Eq. 12). Demonstrates the experiment harness: a pathload column,
+// one planned cell per point, and the cells' reducers.
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
+#include "core/session.hpp"
+#include "scenario/experiment.hpp"
 #include "scenario/sweep_runner.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -27,22 +32,25 @@ int main(int argc, char** argv) {
   // changing a digit of the output.
   scenario::SweepRunner runner;
 
-  for (double util : {0.2, 0.4, 0.6, 0.8}) {
-    scenario::PaperPathConfig path;
-    path.hops = 1;
-    path.tight_capacity = Rate::mbps(12.4);
-    path.tight_utilization = util;
-    path.model = sim::Interarrival::kPareto;
+  scenario::PaperPathConfig path;
+  path.hops = 1;
+  path.tight_capacity = Rate::mbps(12.4);
+  path.model = sim::Interarrival::kPareto;
+  const auto base = scenario::ScenarioSpec::from_paper("dynamics", "", path);
+  const scenario::MatrixEstimator pathload{
+      "pathload", [] { return std::make_unique<core::PathloadSession>(); }};
 
-    core::PathloadConfig tool;
-    const auto rr = scenario::sweep_scenario_repeated(
-        scenario::ScenarioSpec::from_paper("dynamics", "", path), tool, runs,
-        /*seed0=*/42 + util * 100, runner);
-    const auto rhos = rr.relative_variations();
-    table.add_row({Table::num(util * 100, 0),
-                   Table::num(12.4 * (1 - util), 1),
-                   Table::num(rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(rr.mean_high().mbits_per_sec(), 2),
+  std::vector<scenario::MatrixCellPlan> plans;
+  for (double util : {0.2, 0.4, 0.6, 0.8}) {
+    plans.push_back({&pathload, base.with_load(util), util,
+                     static_cast<std::uint64_t>(42 + util * 100)});
+  }
+  for (const scenario::MatrixCell& c : scenario::run_planned_cells(plans, runs, runner)) {
+    const auto rhos = c.relative_variations();
+    table.add_row({Table::num(c.load * 100, 0),
+                   Table::num(12.4 * (1 - c.load), 1),
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
                    Table::num(percentile(rhos, 0.25), 2),
                    Table::num(percentile(rhos, 0.50), 2),
                    Table::num(percentile(rhos, 0.75), 2)});

@@ -12,12 +12,12 @@
 //   $ scenario_runner --spec my.scenario --run    # run a spec file
 //   $ scenario_runner --validate my.scenario      # parse + validate only
 //
-// Without --estimator/--compare, --run is a pathload measurement with the
-// pre-harness output format; sweeps use the same per-point seed derivation
-// as bench/fig05 (base seed + util*1000, runs sharded over SweepRunner),
-// so a sweep of a paper preset reproduces the figure's numbers
-// byte-for-byte at the same settings. With estimators selected, runs go
-// through the scenario::run_matrix comparison harness: one
+// Every run goes through the scenario::run_matrix harness, with the same
+// per-point seed derivation as bench/fig05 (base seed + util*1000, runs
+// sharded over SweepRunner), so a sweep of a paper preset reproduces the
+// figure's numbers byte-for-byte at the same settings. Without
+// --estimator/--compare, --run is a pathload measurement printed in the
+// figures' row format; with estimators selected, the output is one
 // accuracy/variation/intrusiveness/latency row per estimator × load.
 // `--format csv` / `--format json` emit machine-readable rows; the base
 // seed and run count come from PATHLOAD_SEED / PATHLOAD_RUNS / PATHLOAD_QUICK
@@ -517,32 +517,24 @@ int run_estimator_command(const Options& opt, const scenario::ScenarioSpec& base
   return 0;
 }
 
-/// One sweep point, reduced to the quantities the figures report.
-struct PointRow {
-  std::string preset;
-  double util;
-  std::uint64_t seed0;
-  int runs;
-  Rate truth;
-  scenario::RepeatedRuns rr;
-};
-
-void print_rows(const std::vector<PointRow>& rows, Format format) {
+/// Print pathload cells (one per sweep point, or one at the preset's own
+/// load) reduced to the quantities the figures report.
+void print_rows(const std::vector<scenario::MatrixCell>& cells, Format format) {
   if (format == Format::kJson) {
     std::printf("[\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const PointRow& r = rows[i];
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const scenario::MatrixCell& c = cells[i];
       std::printf(
-          "  {\"preset\": \"%s\", \"load\": %.17g, \"seed\": %llu, \"runs\": %d, "
+          "  {\"preset\": \"%s\", \"load\": %.17g, \"seed\": %llu, \"runs\": %zu, "
           "\"avail_mbps\": %.17g, \"low_mbps\": %.17g, \"high_mbps\": %.17g, "
           "\"coverage\": %.17g, \"cv_low\": %.17g, \"cv_high\": %.17g, "
           "\"mean_fleets\": %.17g, \"mean_elapsed_s\": %.17g}%s\n",
-          json_escape(r.preset).c_str(), r.util,
-          static_cast<unsigned long long>(r.seed0), r.runs,
-          r.truth.mbits_per_sec(), r.rr.mean_low().mbits_per_sec(),
-          r.rr.mean_high().mbits_per_sec(), r.rr.coverage(r.truth), r.rr.cv_low(),
-          r.rr.cv_high(), r.rr.mean_fleets(), r.rr.mean_elapsed().secs(),
-          i + 1 < rows.size() ? "," : "");
+          json_escape(c.scenario).c_str(), c.load,
+          static_cast<unsigned long long>(c.seed0), c.reports.size(),
+          c.truth.mbits_per_sec(), c.mean_low().mbits_per_sec(),
+          c.mean_high().mbits_per_sec(), c.coverage(Rate::zero()), c.cv_low(),
+          c.cv_high(), c.mean_fleets(), c.mean_elapsed().secs(),
+          i + 1 < cells.size() ? "," : "");
     }
     std::printf("]\n");
     return;
@@ -551,14 +543,14 @@ void print_rows(const std::vector<PointRow>& rows, Format format) {
   // so a sweep of a paper preset diffs cell-identical against the figure.
   Table table{{"preset", "util_%", "avail_Mbps", "pl_low_Mbps", "pl_high_Mbps",
                "center", "covers_A", "cv_low", "cv_high"}};
-  for (const PointRow& r : rows) {
-    table.add_row({r.preset, Table::num(r.util * 100, 0),
-                   Table::num(r.truth.mbits_per_sec(), 1),
-                   Table::num(r.rr.mean_low().mbits_per_sec(), 2),
-                   Table::num(r.rr.mean_high().mbits_per_sec(), 2),
-                   Table::num((r.rr.mean_low() + r.rr.mean_high()).mbits_per_sec() / 2, 2),
-                   Table::num(r.rr.coverage(r.truth) * 100, 0) + "%",
-                   Table::num(r.rr.cv_low(), 2), Table::num(r.rr.cv_high(), 2)});
+  for (const scenario::MatrixCell& c : cells) {
+    table.add_row({c.scenario, Table::num(c.load * 100, 0),
+                   Table::num(c.truth.mbits_per_sec(), 1),
+                   Table::num(c.mean_low().mbits_per_sec(), 2),
+                   Table::num(c.mean_high().mbits_per_sec(), 2),
+                   Table::num((c.mean_low() + c.mean_high()).mbits_per_sec() / 2, 2),
+                   Table::num(c.coverage(Rate::zero()) * 100, 0) + "%",
+                   Table::num(c.cv_low(), 2), Table::num(c.cv_high(), 2)});
   }
   if (format == Format::kCsv) {
     std::fputs(table.to_csv().c_str(), stdout);
@@ -576,29 +568,13 @@ int run_command(const Options& opt, const scenario::ScenarioSpec& base) {
   }
   const int runs = opt.runs > 0 ? opt.runs : bench::runs(20);
   const std::uint64_t seed = opt.seed.value_or(bench::seed());
-  const core::PathloadConfig tool;
   scenario::SweepRunner runner{opt.threads};
-
-  std::vector<PointRow> rows;
-  if (opt.sweep_loads.empty()) {
-    const Rate truth = base.avail_bw();
-    const auto rr = scenario::sweep_scenario_repeated(base, tool, runs, seed, runner);
-    rows.push_back(PointRow{base.name, /*util=*/-1.0, seed, runs, truth,
-                            std::move(rr)});
-    // No load axis: report the preset's own operating point; util column
-    // shows the tight hop's configured load.
-    rows.back().util = base.hops[base.tight_hop()].traffic.utilization;
-  } else {
-    for (const double util : opt.sweep_loads) {
-      const scenario::ScenarioSpec spec = base.with_load(util);
-      // Same per-point seed derivation as bench/fig05: base + util*1000.
-      const auto seed0 = static_cast<std::uint64_t>(
-          static_cast<double>(seed) + util * 1000);
-      const auto rr = scenario::sweep_scenario_repeated(spec, tool, runs, seed0, runner);
-      rows.push_back(PointRow{spec.name, util, seed0, runs, spec.avail_bw(), rr});
-    }
-  }
-  print_rows(rows, opt.format);
+  // Same cell enumeration as --compare and bench/fig05: a sweep point's
+  // seed is base + util*1000; without --sweep the one cell runs at the
+  // preset's own tight-hop load with the plain base seed.
+  const auto cells = scenario::run_matrix({bench::pathload_column()}, {base},
+                                          opt.sweep_loads, runs, seed, runner);
+  print_rows(cells, opt.format);
   if (opt.format == Format::kTable && base.nonstationary()) {
     std::printf("\nnote: %s is non-stationary (post-ramp avail-bw %.2f Mb/s); "
                 "the configured avail_Mbps column is the pre-ramp value.\n",

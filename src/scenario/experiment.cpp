@@ -3,88 +3,12 @@
 #include <cmath>
 #include <limits>
 
+#include "core/rate_adjuster.hpp"
 #include "scenario/sim_channel.hpp"
 #include "scenario/sweep_runner.hpp"
 #include "util/stats.hpp"
 
 namespace pathload::scenario {
-
-Rate RepeatedRuns::mean_low() const {
-  OnlineStats s;
-  for (const auto& r : results) s.add(r.range.low.bits_per_sec());
-  return Rate::bps(s.mean());
-}
-
-Rate RepeatedRuns::mean_high() const {
-  OnlineStats s;
-  for (const auto& r : results) s.add(r.range.high.bits_per_sec());
-  return Rate::bps(s.mean());
-}
-
-double RepeatedRuns::cv_low() const {
-  OnlineStats s;
-  for (const auto& r : results) s.add(r.range.low.bits_per_sec());
-  return s.cv();
-}
-
-double RepeatedRuns::cv_high() const {
-  OnlineStats s;
-  for (const auto& r : results) s.add(r.range.high.bits_per_sec());
-  return s.cv();
-}
-
-std::vector<double> RepeatedRuns::relative_variations() const {
-  std::vector<double> rhos;
-  rhos.reserve(results.size());
-  for (const auto& r : results) rhos.push_back(r.range.relative_variation());
-  return rhos;
-}
-
-double RepeatedRuns::coverage(Rate truth) const {
-  if (results.empty()) return 0.0;
-  int hits = 0;
-  for (const auto& r : results) {
-    if (r.range.contains(truth)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(results.size());
-}
-
-Duration RepeatedRuns::mean_elapsed() const {
-  if (results.empty()) return Duration::zero();
-  Duration total = Duration::zero();
-  for (const auto& r : results) total += r.elapsed;
-  return total / static_cast<double>(results.size());
-}
-
-double RepeatedRuns::mean_fleets() const {
-  if (results.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& r : results) total += r.fleets;
-  return total / static_cast<double>(results.size());
-}
-
-core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
-                                       const core::PathloadConfig& tool_cfg,
-                                       std::uint64_t seed) {
-  ScenarioSpec seeded = spec;
-  seeded.seed = seed;
-  ScenarioInstance inst{std::move(seeded)};
-  inst.start();
-  SimProbeChannel channel{inst.simulator(), inst.path()};
-  core::PathloadSession session{tool_cfg};
-  return session.run(channel);
-}
-
-RepeatedRuns run_scenario_repeated(const ScenarioSpec& spec,
-                                   const core::PathloadConfig& tool_cfg, int runs,
-                                   std::uint64_t seed0) {
-  RepeatedRuns out;
-  out.results.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) {
-    out.results.push_back(run_scenario_once(spec, tool_cfg, seed0 + i));
-  }
-  return out;
-}
 
 MatrixEstimator MatrixEstimator::from_registry(const core::EstimatorRegistry& reg,
                                                std::string_view name,
@@ -140,6 +64,31 @@ Rate MatrixCell::mean_center() const {
   return s.count() > 0 ? Rate::bps(s.mean()) : Rate::zero();
 }
 
+double MatrixCell::cv_low() const {
+  OnlineStats s;
+  for (const auto& r : reports) {
+    if (r.valid) s.add(r.low.bits_per_sec());
+  }
+  return s.cv();
+}
+
+double MatrixCell::cv_high() const {
+  OnlineStats s;
+  for (const auto& r : reports) {
+    if (r.valid) s.add(r.high.bits_per_sec());
+  }
+  return s.cv();
+}
+
+std::vector<double> MatrixCell::relative_variations() const {
+  std::vector<double> rhos;
+  rhos.reserve(reports.size());
+  for (const auto& r : reports) {
+    if (r.valid) rhos.push_back(core::AvailBwRange{r.low, r.high}.relative_variation());
+  }
+  return rhos;
+}
+
 double MatrixCell::mean_rel_error() const {
   OnlineStats s;
   if (truth > Rate::zero()) {
@@ -190,6 +139,13 @@ Duration MatrixCell::mean_elapsed() const {
   if (reports.empty()) return Duration::zero();
   Duration total = Duration::zero();
   for (const auto& r : reports) total += r.elapsed;
+  return total / static_cast<double>(reports.size());
+}
+
+double MatrixCell::mean_fleets() const {
+  if (reports.empty()) return 0.0;
+  double total = 0.0;
+  for (const auto& r : reports) total += static_cast<double>(r.iterations.size());
   return total / static_cast<double>(reports.size());
 }
 

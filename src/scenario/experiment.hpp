@@ -7,55 +7,17 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/estimator.hpp"
-#include "core/session.hpp"
 #include "scenario/spec.hpp"
 
 namespace pathload::scenario {
 
 class SweepRunner;
 
-/// Aggregate of repeated pathload runs at one operating point, as the paper
-/// reports them (e.g. "50-sample average pathload ranges", Fig. 5).
-struct RepeatedRuns {
-  std::vector<core::PathloadResult> results;
-
-  /// Mean of the per-run lower bounds.
-  Rate mean_low() const;
-  /// Mean of the per-run upper bounds.
-  Rate mean_high() const;
-  /// Coefficient of variation of the lower / upper bounds (the paper quotes
-  /// 0.10-0.30 for its simulations).
-  double cv_low() const;
-  double cv_high() const;
-  /// Relative variation rho (Eq. 12) of every run.
-  std::vector<double> relative_variations() const;
-  /// Fraction of runs whose range contains `truth`.
-  double coverage(Rate truth) const;
-  /// Mean virtual duration of a run.
-  Duration mean_elapsed() const;
-  /// Mean number of fleets per run.
-  double mean_fleets() const;
-};
-
-/// Single pathload run on a fresh, warmed-up ScenarioInstance built from
-/// `spec` with its seed overridden to `seed`.
-core::PathloadResult run_scenario_once(const ScenarioSpec& spec,
-                                       const core::PathloadConfig& tool_cfg,
-                                       std::uint64_t seed);
-
-/// `runs` independent scenario runs seeded seed0, seed0+1, ..., one after
-/// the other (sweep_scenario_repeated in sweep_runner.hpp shards them).
-RepeatedRuns run_scenario_repeated(const ScenarioSpec& spec,
-                                   const core::PathloadConfig& tool_cfg, int runs,
-                                   std::uint64_t seed0);
-
-// ---------------------------------------------------------------------------
-// The generic comparison harness: any estimator × any scenario × any load.
-// `RepeatedRuns` above is the pathload-specific ancestor; `run_matrix` is
-// what the CLI's --compare, bench/baselines_table, and every future
-// "new estimator" or "new scenario" PR plug into.
+// The comparison harness: any estimator × any scenario × any load. Every
+// experiment in the repo runs through it — the figure benches (pathload
+// columns built from a PathloadConfig), the CLI's --run/--sweep/--compare,
+// the shards, and perfbench.
 
 /// One estimator column of a comparison matrix: a registry name plus a
 /// factory producing a fresh configured instance per run (estimators may
@@ -90,6 +52,13 @@ struct MatrixCell {
   Rate mean_low() const;
   Rate mean_high() const;
   Rate mean_center() const;
+  /// Coefficient of variation of the per-run lower / upper bounds over
+  /// valid runs (the paper quotes 0.10-0.30 for its simulations); 0 for
+  /// fewer than two valid runs or a zero mean.
+  double cv_low() const;
+  double cv_high() const;
+  /// Relative variation rho (Eq. 12) of every valid run, in seed order.
+  std::vector<double> relative_variations() const;
   /// Mean of |center - truth| / truth over valid runs; NaN when no run
   /// was valid (an estimator that never produced an estimate must not
   /// score a perfect error — render it as n/a).
@@ -105,6 +74,8 @@ struct MatrixCell {
   DataSize mean_bytes() const;
   double mean_packets() const;
   Duration mean_elapsed() const;
+  /// Mean number of iterations per run (fleets, for pathload).
+  double mean_fleets() const;
 
   /// Per-outcome run counts, indexed by EstimateReport::Outcome in enum
   /// order (ok, degraded, timeout, failed).
@@ -148,19 +119,20 @@ std::vector<MatrixCell> run_planned_cells(const std::vector<MatrixCellPlan>& pla
 /// seeds per cell, fanned out on `runner` (each run is a self-contained
 /// simulation, so results are independent of the thread count).
 ///
-/// Seed derivation matches the figure benches (see plan_matrix). A
-/// pathload-only matrix therefore reproduces the numbers of
-/// sweep_scenario_repeated (and `scenario_runner --sweep`) bit-for-bit.
+/// Seed derivation matches the figure benches (see plan_matrix), so a
+/// pathload-only matrix reproduces bench/fig05's rows (and
+/// `scenario_runner --sweep`'s) bit-for-bit.
 std::vector<MatrixCell> run_matrix(const std::vector<MatrixEstimator>& estimators,
                                    const std::vector<ScenarioSpec>& scenarios,
                                    const std::vector<double>& loads, int runs,
                                    std::uint64_t seed0, SweepRunner& runner);
 
-/// One estimator run on a fresh ScenarioInstance built from `spec` with
-/// its seed overridden to `seed` — the estimator-generic analogue of
-/// run_scenario_once (and identical to it for pathload). Runs guarded:
-/// a mid-run ChannelFault or stray exception becomes a `failed` report
-/// instead of tearing down the matrix.
+/// One estimator run on a fresh, warmed-up ScenarioInstance built from
+/// `spec` with its seed overridden to `seed`. Runs guarded: a mid-run
+/// ChannelFault or stray exception becomes a `failed` report instead of
+/// tearing down the matrix. Callers that need pathload's own result
+/// (convergence, fleet traces) build the instance and a PathloadSession
+/// in place instead.
 core::EstimateReport run_estimator_once(const ScenarioSpec& spec,
                                         core::Estimator& est, std::uint64_t seed);
 

@@ -1,8 +1,10 @@
 #include "scenario/sweep_runner.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <thread>
 
 namespace pathload::scenario {
 
@@ -72,16 +74,6 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
   for (auto& t : pool) t.join();
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-RepeatedRuns sweep_scenario_repeated(const ScenarioSpec& spec,
-                                     const core::PathloadConfig& tool_cfg, int runs,
-                                     std::uint64_t seed0, SweepRunner& runner) {
-  RepeatedRuns out;
-  out.results = runner.map(static_cast<std::size_t>(runs), [&](std::size_t i) {
-    return run_scenario_once(spec, tool_cfg, seed0 + i);
-  });
-  return out;
 }
 
 }  // namespace pathload::scenario

@@ -1,13 +1,9 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "scenario/experiment.hpp"
 
 namespace pathload::scenario {
 
@@ -56,12 +52,5 @@ class SweepRunner {
  private:
   int threads_;
 };
-
-/// `runs` repetitions of one scenario spec (seeds seed0, seed0+1, ...),
-/// sharded across the runner's threads. Results are identical to
-/// run_scenario_repeated regardless of thread count.
-RepeatedRuns sweep_scenario_repeated(const ScenarioSpec& spec,
-                                     const core::PathloadConfig& tool_cfg, int runs,
-                                     std::uint64_t seed0, SweepRunner& runner);
 
 }  // namespace pathload::scenario

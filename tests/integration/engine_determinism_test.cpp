@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/spec.hpp"
 
@@ -33,22 +34,25 @@ TEST(EngineDeterminism, WarmupReplaysHeapSchedulerEventAndPacketCounts) {
 }
 
 TEST(EngineDeterminism, PathloadRunReplaysHeapSchedulerVerdictBitExact) {
-  core::PathloadConfig tool;
-  const auto res = run_scenario_once(golden_spec(), tool, 77);
-  EXPECT_EQ(res.range.low.bits_per_sec(), 3397806.7157649733);
-  EXPECT_EQ(res.range.high.bits_per_sec(), 3964114.850317501);
-  EXPECT_EQ(res.fleets, 4);
+  core::PathloadSession pathload;
+  const auto res = run_estimator_once(golden_spec(), pathload, 77);
+  EXPECT_EQ(res.low.bits_per_sec(), 3397806.7157649733);
+  EXPECT_EQ(res.high.bits_per_sec(), 3964114.850317501);
+  EXPECT_EQ(res.iterations.size(), 4u);
   EXPECT_EQ(res.elapsed.nanos(), 25971036628);
 }
 
-TEST(EngineDeterminism, RepeatedRunsAreRunToRunIdentical) {
-  core::PathloadConfig tool;
-  const auto a = run_scenario_once(golden_spec(), tool, 123);
-  const auto b = run_scenario_once(golden_spec(), tool, 123);
-  EXPECT_EQ(a.range.low.bits_per_sec(), b.range.low.bits_per_sec());
-  EXPECT_EQ(a.range.high.bits_per_sec(), b.range.high.bits_per_sec());
+TEST(EngineDeterminism, RunToRunIdenticalPerSeed) {
+  auto run = [] {
+    core::PathloadSession pathload;
+    return run_estimator_once(golden_spec(), pathload, 123);
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a.low.bits_per_sec(), b.low.bits_per_sec());
+  EXPECT_EQ(a.high.bits_per_sec(), b.high.bits_per_sec());
   EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos());
-  EXPECT_EQ(a.fleets, b.fleets);
+  EXPECT_EQ(a.iterations.size(), b.iterations.size());
 }
 
 }  // namespace

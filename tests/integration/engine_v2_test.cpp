@@ -13,11 +13,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/estimators.hpp"
+#include "core/session.hpp"
 #include "core/stream.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
@@ -36,17 +38,41 @@ ScenarioSpec v2_preset(std::string_view name) {
   return spec;
 }
 
+/// A default pathload run on `spec` at `seed`.
+core::EstimateReport pathload_once(const ScenarioSpec& spec, std::uint64_t seed) {
+  core::PathloadSession pathload;
+  return run_estimator_once(spec, pathload, seed);
+}
+
+/// The pathload column of a matrix, a fresh default session per run.
+MatrixEstimator pathload_column() {
+  return {"pathload", [] { return std::make_unique<core::PathloadSession>(); }};
+}
+
+/// Two runs of the same cell(s) agree bit for bit, report by report.
+void expect_same_reports(const std::vector<MatrixCell>& a,
+                         const std::vector<MatrixCell>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    ASSERT_EQ(a[c].reports.size(), b[c].reports.size());
+    for (std::size_t i = 0; i < a[c].reports.size(); ++i) {
+      EXPECT_EQ(a[c].reports[i].low.bits_per_sec(), b[c].reports[i].low.bits_per_sec());
+      EXPECT_EQ(a[c].reports[i].high.bits_per_sec(), b[c].reports[i].high.bits_per_sec());
+      EXPECT_EQ(a[c].reports[i].elapsed.nanos(), b[c].reports[i].elapsed.nanos());
+    }
+  }
+}
+
 // ------------------------------------------------------------- v2 anchors
 
 TEST(EngineV2Determinism, GoldenAnchorPaperPathSeed77) {
   // Captured on the toolchain that introduced engine v2. A diff here means
   // the v2 event order, RNG mapping, or fluid arithmetic changed — which
   // requires a new engine version, not a silent re-capture (docs/ENGINE.md).
-  core::PathloadConfig tool;
-  const auto res = run_scenario_once(v2_preset("paper-path"), tool, 77);
-  EXPECT_EQ(res.range.low.bits_per_sec(), 3524446.4416307611);
-  EXPECT_EQ(res.range.high.bits_per_sec(), 4111863.2394286562);
-  EXPECT_EQ(res.fleets, 4);
+  const auto res = pathload_once(v2_preset("paper-path"), 77);
+  EXPECT_EQ(res.low.bits_per_sec(), 3524446.4416307611);
+  EXPECT_EQ(res.high.bits_per_sec(), 4111863.2394286562);
+  EXPECT_EQ(res.iterations.size(), 4u);
   EXPECT_EQ(res.elapsed.nanos(), 24983809069);
 }
 
@@ -55,18 +81,15 @@ TEST(EngineV2Determinism, BatchedMatchesUnbatchedByteIdentical) {
   // pure reordering of the same floating-point work: on a quiescent fluid
   // path it must reproduce the event-driven v2 results bit for bit, not
   // approximately.
-  core::PathloadConfig tool;
   for (const std::uint64_t seed : {77ULL, 123ULL, 9001ULL}) {
     SimProbeChannel::set_burst_batching(false);
-    const auto off = run_scenario_once(v2_preset("paper-path"), tool, seed);
+    const auto off = pathload_once(v2_preset("paper-path"), seed);
     SimProbeChannel::set_burst_batching(true);
-    const auto on = run_scenario_once(v2_preset("paper-path"), tool, seed);
-    EXPECT_EQ(off.range.low.bits_per_sec(), on.range.low.bits_per_sec())
-        << "seed " << seed;
-    EXPECT_EQ(off.range.high.bits_per_sec(), on.range.high.bits_per_sec())
-        << "seed " << seed;
+    const auto on = pathload_once(v2_preset("paper-path"), seed);
+    EXPECT_EQ(off.low.bits_per_sec(), on.low.bits_per_sec()) << "seed " << seed;
+    EXPECT_EQ(off.high.bits_per_sec(), on.high.bits_per_sec()) << "seed " << seed;
     EXPECT_EQ(off.elapsed.nanos(), on.elapsed.nanos()) << "seed " << seed;
-    EXPECT_EQ(off.fleets, on.fleets) << "seed " << seed;
+    EXPECT_EQ(off.iterations.size(), on.iterations.size()) << "seed " << seed;
   }
 }
 
@@ -230,60 +253,40 @@ TEST(EngineV2Determinism, FluidTcpRunToRunIdenticalPerSeed) {
   // The fluid TCP backend is RNG-free, but its epoch timers interleave
   // with batched probe bursts; the interleaving must still be a pure
   // function of the seed.
-  core::PathloadConfig tool;
-  const auto a = run_scenario_once(v2_preset("tcp-vs-probe-duel"), tool, 42);
-  const auto b = run_scenario_once(v2_preset("tcp-vs-probe-duel"), tool, 42);
-  EXPECT_EQ(a.range.low.bits_per_sec(), b.range.low.bits_per_sec());
-  EXPECT_EQ(a.range.high.bits_per_sec(), b.range.high.bits_per_sec());
+  const auto a = pathload_once(v2_preset("tcp-vs-probe-duel"), 42);
+  const auto b = pathload_once(v2_preset("tcp-vs-probe-duel"), 42);
+  EXPECT_EQ(a.low.bits_per_sec(), b.low.bits_per_sec());
+  EXPECT_EQ(a.high.bits_per_sec(), b.high.bits_per_sec());
   EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos());
-  EXPECT_EQ(a.fleets, b.fleets);
+  EXPECT_EQ(a.iterations.size(), b.iterations.size());
 }
 
 TEST(EngineV2Determinism, RunToRunIdenticalPerSeed) {
-  core::PathloadConfig tool;
-  const auto a = run_scenario_once(v2_preset("paper-path"), tool, 123);
-  const auto b = run_scenario_once(v2_preset("paper-path"), tool, 123);
-  EXPECT_EQ(a.range.low.bits_per_sec(), b.range.low.bits_per_sec());
-  EXPECT_EQ(a.range.high.bits_per_sec(), b.range.high.bits_per_sec());
+  const auto a = pathload_once(v2_preset("paper-path"), 123);
+  const auto b = pathload_once(v2_preset("paper-path"), 123);
+  EXPECT_EQ(a.low.bits_per_sec(), b.low.bits_per_sec());
+  EXPECT_EQ(a.high.bits_per_sec(), b.high.bits_per_sec());
   EXPECT_EQ(a.elapsed.nanos(), b.elapsed.nanos());
-  EXPECT_EQ(a.fleets, b.fleets);
+  EXPECT_EQ(a.iterations.size(), b.iterations.size());
 }
 
 TEST(EngineV2Determinism, ThreadCountDoesNotChangeResults) {
-  core::PathloadConfig tool;
   const ScenarioSpec spec = v2_preset("paper-path");
   SweepRunner one{1};
   SweepRunner four{4};
-  const RepeatedRuns a = sweep_scenario_repeated(spec, tool, 6, 500, one);
-  const RepeatedRuns b = sweep_scenario_repeated(spec, tool, 6, 500, four);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].range.low.bits_per_sec(),
-              b.results[i].range.low.bits_per_sec());
-    EXPECT_EQ(a.results[i].range.high.bits_per_sec(),
-              b.results[i].range.high.bits_per_sec());
-    EXPECT_EQ(a.results[i].elapsed.nanos(), b.results[i].elapsed.nanos());
-  }
+  expect_same_reports(run_matrix({pathload_column()}, {spec}, {}, 6, 500, one),
+                      run_matrix({pathload_column()}, {spec}, {}, 6, 500, four));
 }
 
 TEST(EngineV2Determinism, ThreadCountInvariantWithFluidTcpAndBatching) {
   // The batched probe path plus a fluid TCP competitor, swept across
   // thread counts: per-seed results must not depend on how the runs are
   // sharded across workers (burst batching is on by default here).
-  core::PathloadConfig tool;
   const ScenarioSpec spec = v2_preset("tcp-vs-probe-duel");
   SweepRunner one{1};
   SweepRunner four{4};
-  const RepeatedRuns a = sweep_scenario_repeated(spec, tool, 4, 700, one);
-  const RepeatedRuns b = sweep_scenario_repeated(spec, tool, 4, 700, four);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].range.low.bits_per_sec(),
-              b.results[i].range.low.bits_per_sec());
-    EXPECT_EQ(a.results[i].range.high.bits_per_sec(),
-              b.results[i].range.high.bits_per_sec());
-    EXPECT_EQ(a.results[i].elapsed.nanos(), b.results[i].elapsed.nanos());
-  }
+  expect_same_reports(run_matrix({pathload_column()}, {spec}, {}, 4, 700, one),
+                      run_matrix({pathload_column()}, {spec}, {}, 4, 700, four));
 }
 
 TEST(EngineV2Determinism, ShardMergeIsByteIdentical) {
@@ -356,11 +359,11 @@ TEST_P(EngineEquivalence, V1AndV2AgreeWithinTolerance) {
   ScenarioSpec v2 = v1;
   v2.engine = EngineVersion::kV2;
 
-  core::PathloadConfig tool;
   SweepRunner runner;
   const int kRuns = 3;
-  const RepeatedRuns r1 = sweep_scenario_repeated(v1, tool, kRuns, 3000, runner);
-  const RepeatedRuns r2 = sweep_scenario_repeated(v2, tool, kRuns, 3000, runner);
+  const auto cells = run_matrix({pathload_column()}, {v1, v2}, {}, kRuns, 3000, runner);
+  const MatrixCell& r1 = cells[0];
+  const MatrixCell& r2 = cells[1];
 
   const double truth = v1.avail_bw().bits_per_sec();
   const double c1 =

@@ -16,6 +16,14 @@ ScenarioSpec paper_spec(const PaperPathConfig& cfg) {
   return spec;
 }
 
+/// rho (Eq. 12) of one pathload run with `tool` on `spec` at `seed`.
+double pathload_rho(const ScenarioSpec& spec, const core::PathloadConfig& tool,
+                    std::uint64_t seed) {
+  core::PathloadSession pathload{tool};
+  const auto report = run_estimator_once(spec, pathload, seed);
+  return core::AvailBwRange{report.low, report.high}.relative_variation();
+}
+
 // --- failure injection: undersized buffers -> probe losses ---------------
 
 TEST(LossHandling, UnderbufferedPathStillYieldsEstimate) {
@@ -70,9 +78,7 @@ TEST(Dynamics, RelativeVariationGrowsWithUtilization) {
       cfg.tight_capacity = Rate::mbps(12.4);
       cfg.tight_utilization = util;
       cfg.model = sim::Interarrival::kPareto;
-      const auto result = run_scenario_once(paper_spec(cfg),
-                                            core::PathloadConfig{}, 7000 + i);
-      rhos.push_back(result.range.relative_variation());
+      rhos.push_back(pathload_rho(paper_spec(cfg), core::PathloadConfig{}, 7000 + i));
     }
     return median(rhos);
   };
@@ -89,9 +95,7 @@ TEST(Dynamics, RelativeVariationShrinksWithMultiplexing) {
       cfg.tight_utilization = 0.65;
       cfg.sources_per_link = sources;
       cfg.model = sim::Interarrival::kPareto;
-      const auto result = run_scenario_once(paper_spec(cfg),
-                                            core::PathloadConfig{}, 8000 + i);
-      rhos.push_back(result.range.relative_variation());
+      rhos.push_back(pathload_rho(paper_spec(cfg), core::PathloadConfig{}, 8000 + i));
     }
     return median(rhos);
   };
@@ -109,9 +113,7 @@ TEST(Dynamics, LongerStreamsReduceMeasuredVariability) {
       cfg.model = sim::Interarrival::kPareto;
       core::PathloadConfig tool;
       tool.packets_per_stream = k;
-      const auto result = run_scenario_once(
-          paper_spec(cfg), tool, 9000 + i);
-      rhos.push_back(result.range.relative_variation());
+      rhos.push_back(pathload_rho(paper_spec(cfg), tool, 9000 + i));
     }
     return median(rhos);
   };

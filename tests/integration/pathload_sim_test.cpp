@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/session.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sim_channel.hpp"
+#include "scenario/sweep_runner.hpp"
 
 namespace pathload::scenario {
 namespace {
@@ -28,10 +31,27 @@ core::PathloadConfig fast_tool() {
   return tool;
 }
 
+/// One pathload session on a fresh, warmed-up instance of `spec` at
+/// `seed`, with the full pathload result (convergence, fleet traces).
+core::PathloadResult measure(ScenarioSpec spec, std::uint64_t seed) {
+  spec.seed = seed;
+  ScenarioInstance bed{std::move(spec)};
+  bed.start();
+  SimProbeChannel ch{bed.simulator(), bed.path()};
+  core::PathloadSession session{fast_tool()};
+  return session.run(ch);
+}
+
+/// `runs` fast-tool pathload runs on `spec`, seeds seed0, seed0+1, ...
+MatrixCell repeated(const ScenarioSpec& spec, int runs, std::uint64_t seed0) {
+  const MatrixEstimator pathload{
+      "pathload", [] { return std::make_unique<core::PathloadSession>(fast_tool()); }};
+  SweepRunner runner{1};
+  return run_matrix({pathload}, {spec}, {}, runs, seed0, runner).front();
+}
+
 TEST(PathloadOverSim, BracketsAvailBwOnPoissonPath) {
-  const auto result =
-      run_scenario_once(paper_path(0.6, sim::Interarrival::kExponential),
-                        fast_tool(), 7);
+  const auto result = measure(paper_path(0.6, sim::Interarrival::kExponential), 7);
   EXPECT_TRUE(result.converged);
   // A = 4 Mb/s; allow the tool's resolution (omega) of slack per side.
   EXPECT_LE(result.range.low, Rate::mbps(5.0));
@@ -41,40 +61,37 @@ TEST(PathloadOverSim, BracketsAvailBwOnPoissonPath) {
 }
 
 TEST(PathloadOverSim, BracketsAvailBwOnParetoPath) {
-  const auto result = run_scenario_once(paper_path(0.6, sim::Interarrival::kPareto),
-                                        fast_tool(), 11);
+  const auto result = measure(paper_path(0.6, sim::Interarrival::kPareto), 11);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.range.low, Rate::mbps(5.5));
   EXPECT_GE(result.range.high, Rate::mbps(2.5));
 }
 
 TEST(PathloadOverSim, LightLoadHighAvailBw) {
-  const auto result =
-      run_scenario_once(paper_path(0.2, sim::Interarrival::kExponential),
-                        fast_tool(), 23);
+  core::PathloadSession pathload{fast_tool()};
+  const auto report =
+      run_estimator_once(paper_path(0.2, sim::Interarrival::kExponential), pathload, 23);
   // A = 8 Mb/s.
-  EXPECT_TRUE(result.range.contains(Rate::mbps(8)) ||
-              result.range.center().mbits_per_sec() > 6.5);
+  EXPECT_TRUE(report.covers(Rate::mbps(8), Rate::zero()) ||
+              report.center().mbits_per_sec() > 6.5);
 }
 
-TEST(PathloadOverSim, RepeatedRunsMostlyCoverTruth) {
-  const auto runs = run_scenario_repeated(
-      paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 10, 100);
-  ASSERT_EQ(runs.results.size(), 10u);
+TEST(PathloadOverSim, RunsMostlyCoverTruth) {
+  MatrixCell runs = repeated(paper_path(0.6, sim::Interarrival::kExponential), 10, 100);
+  ASSERT_EQ(runs.reports.size(), 10u);
   // The paper's Fig. 5 claim: the (averaged) range includes the average
   // avail-bw. Individual runs can miss due to short-term variability, so
   // require a clear majority plus a correct mean range.
-  EXPECT_GE(runs.coverage(Rate::mbps(4)), 0.6);
+  runs.truth = Rate::mbps(4);
+  EXPECT_GE(runs.coverage(Rate::zero()), 0.6);
   EXPECT_LE(runs.mean_low(), Rate::mbps(4.6));
   EXPECT_GE(runs.mean_high(), Rate::mbps(3.4));
 }
 
 TEST(PathloadOverSim, TracksUtilizationChanges) {
   // Higher utilization -> lower reported center (monotone response).
-  const auto light = run_scenario_repeated(
-      paper_path(0.25, sim::Interarrival::kExponential), fast_tool(), 4, 7);
-  const auto heavy = run_scenario_repeated(
-      paper_path(0.75, sim::Interarrival::kExponential), fast_tool(), 4, 7);
+  const MatrixCell light = repeated(paper_path(0.25, sim::Interarrival::kExponential), 4, 7);
+  const MatrixCell heavy = repeated(paper_path(0.75, sim::Interarrival::kExponential), 4, 7);
   const double light_center =
       (light.mean_low() + light.mean_high()).mbits_per_sec() / 2.0;
   const double heavy_center =
@@ -112,8 +129,7 @@ TEST(PathloadOverSim, ExplicitInitialRmaxSkipsDispersionProbe) {
 }
 
 TEST(PathloadOverSim, ResultAccountingConsistent) {
-  const auto result = run_scenario_once(
-      paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 3);
+  const auto result = measure(paper_path(0.6, sim::Interarrival::kExponential), 3);
   EXPECT_EQ(result.fleets, static_cast<int>(result.trace.size()));
   std::int64_t streams_in_trace = 0;
   for (const auto& f : result.trace) {
@@ -130,8 +146,7 @@ TEST(PathloadOverSim, MeasurementLatencyIsReasonable) {
   // Section IV: "for a path with A <= 100 Mb/s and RTT <= 100 ms the tool
   // needs less than 15 s" (default resolutions). Our virtual path has
   // RTT ~100 ms.
-  const auto result = run_scenario_once(
-      paper_path(0.6, sim::Interarrival::kExponential), fast_tool(), 31);
+  const auto result = measure(paper_path(0.6, sim::Interarrival::kExponential), 31);
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.elapsed, Duration::seconds(60));
 }

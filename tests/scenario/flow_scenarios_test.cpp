@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/estimators.hpp"
+#include "core/session.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -21,7 +22,7 @@ ScenarioSpec quick_greedy() {
   return spec;
 }
 
-// Captured from run_scenario_once(quick_greedy(), {}, 4242) at PR 4.
+// Captured from a default pathload run on quick_greedy() at seed 4242.
 constexpr double kAnchorLowBps = 0.0;
 constexpr double kAnchorHighBps = 731700.17853484361;
 constexpr int kAnchorFleets = 4;
@@ -31,11 +32,11 @@ TEST(FlowScenarios, GoldenAnchorPathloadOverGreedyFlow) {
   // Golden determinism anchor (captured at PR 4): any diff here means the
   // event order or RNG stream of flow-bearing runs drifted — a correctness
   // bug unless the break is deliberate and documented.
-  const core::PathloadConfig tool;
-  const auto res = run_scenario_once(quick_greedy(), tool, 4242);
-  EXPECT_EQ(res.range.low.bits_per_sec(), kAnchorLowBps);
-  EXPECT_EQ(res.range.high.bits_per_sec(), kAnchorHighBps);
-  EXPECT_EQ(res.fleets, kAnchorFleets);
+  core::PathloadSession pathload;
+  const auto res = run_estimator_once(quick_greedy(), pathload, 4242);
+  EXPECT_EQ(res.low.bits_per_sec(), kAnchorLowBps);
+  EXPECT_EQ(res.high.bits_per_sec(), kAnchorHighBps);
+  EXPECT_EQ(static_cast<int>(res.iterations.size()), kAnchorFleets);
   EXPECT_EQ(res.elapsed.nanos(), kAnchorElapsedNs);
 }
 
@@ -74,9 +75,9 @@ TEST(FlowScenarios, GreedyFlowCollapsesTheMeasuredAvailBw) {
   // The physics the preset exists for: with an elastic end-to-end flow
   // soaking up the slack, pathload's range must land far below the
   // open-loop configured A = 7 Mb/s.
-  const core::PathloadConfig tool;
-  const auto res = run_scenario_once(quick_greedy(), tool, 9);
-  EXPECT_LT(res.range.high.mbits_per_sec(), 3.0);
+  core::PathloadSession pathload;
+  const auto res = run_estimator_once(quick_greedy(), pathload, 9);
+  EXPECT_LT(res.high.mbits_per_sec(), 3.0);
 }
 
 TEST(FlowScenarios, FlowBearingPresetsValidateAndInstantiate) {

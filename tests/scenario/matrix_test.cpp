@@ -1,11 +1,12 @@
-// Tests for the generic comparison harness: cell layout, thread-count
-// independence, and agreement with the pathload-specific ancestors.
+// Tests for the comparison harness: cell layout, thread-count independence,
+// agreement with single runs, and the cell reducers the figures print.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baselines/estimators.hpp"
+#include "core/session.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -83,9 +84,10 @@ TEST(RunMatrix, ResultsAreIndependentOfThreadCount) {
   }
 }
 
-TEST(RunMatrix, PathloadCellReproducesSweepScenarioRepeated) {
-  // The generic harness must not change pathload's numbers: a pathload
-  // cell's reports equal the pathload-specific sweep, run for run.
+TEST(RunMatrix, PathloadCellReproducesSingleRuns) {
+  // A registry pathload cell holds, in seed order, exactly the reports of
+  // single runs of a default PathloadSession at the cell's derived seeds
+  // (the figure benches' pathload columns rely on both halves).
   const ScenarioSpec spec = quick_paper_path();
   const std::vector<MatrixEstimator> ests = {
       MatrixEstimator::from_registry(reg(), "pathload"),
@@ -93,20 +95,62 @@ TEST(RunMatrix, PathloadCellReproducesSweepScenarioRepeated) {
   SweepRunner runner{2};
   const auto cells = run_matrix(ests, {spec}, {0.5}, 2, 1000, runner);
   ASSERT_EQ(cells.size(), 1u);
-
-  const core::PathloadConfig tool;
-  const RepeatedRuns rr = sweep_scenario_repeated(spec.with_load(0.5), tool, 2,
-                                                  /*seed0=*/1500, runner);
-  ASSERT_EQ(cells[0].reports.size(), rr.results.size());
-  for (std::size_t i = 0; i < rr.results.size(); ++i) {
-    EXPECT_EQ(cells[0].reports[i].low.bits_per_sec(),
-              rr.results[i].range.low.bits_per_sec());
-    EXPECT_EQ(cells[0].reports[i].high.bits_per_sec(),
-              rr.results[i].range.high.bits_per_sec());
-    EXPECT_EQ(cells[0].reports[i].elapsed.nanos(), rr.results[i].elapsed.nanos());
-    EXPECT_EQ(cells[0].reports[i].bytes_sent.byte_count(),
-              rr.results[i].bytes_sent.byte_count());
+  ASSERT_EQ(cells[0].reports.size(), 2u);
+  for (std::size_t i = 0; i < cells[0].reports.size(); ++i) {
+    core::PathloadSession pathload;
+    const auto single = run_estimator_once(spec.with_load(0.5), pathload,
+                                           /*seed=*/1500 + i);
+    const core::EstimateReport& r = cells[0].reports[i];
+    EXPECT_EQ(r.low.bits_per_sec(), single.low.bits_per_sec());
+    EXPECT_EQ(r.high.bits_per_sec(), single.high.bits_per_sec());
+    EXPECT_EQ(r.elapsed.nanos(), single.elapsed.nanos());
+    EXPECT_EQ(r.bytes_sent.byte_count(), single.bytes_sent.byte_count());
+    EXPECT_EQ(r.iterations.size(), single.iterations.size());
   }
+}
+
+core::EstimateReport range_report(double low_mbps, double high_mbps, int fleets) {
+  core::EstimateReport r;
+  r.valid = true;
+  r.is_range = true;
+  r.low = Rate::mbps(low_mbps);
+  r.high = Rate::mbps(high_mbps);
+  r.elapsed = Duration::seconds(10);
+  r.iterations.resize(static_cast<std::size_t>(fleets));
+  return r;
+}
+
+TEST(MatrixCell, PathloadReducersAggregateCorrectly) {
+  MatrixCell cell;
+  cell.truth = Rate::mbps(4.2);
+  for (double low : {2.0, 3.0, 4.0}) {
+    cell.reports.push_back(range_report(low, low + 2.0, /*fleets=*/5));
+  }
+  EXPECT_EQ(cell.mean_low(), Rate::mbps(3.0));
+  EXPECT_EQ(cell.mean_high(), Rate::mbps(5.0));
+  EXPECT_DOUBLE_EQ(cell.mean_fleets(), 5.0);
+  EXPECT_EQ(cell.mean_elapsed(), Duration::seconds(10));
+  // truth = 4.2: contained in [3,5] and [4,6] but not [2,4].
+  EXPECT_NEAR(cell.coverage(Rate::zero()), 2.0 / 3.0, 1e-12);
+  // Lows 2, 3, 4 and highs 4, 5, 6 Mb/s: sample stddev 1 over means 3, 5.
+  EXPECT_DOUBLE_EQ(cell.cv_low(), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(cell.cv_high(), 1.0 / 5.0);
+  // rho = width / center = 2/3, 2/4, 2/5, in report order.
+  const std::vector<double> rhos = cell.relative_variations();
+  ASSERT_EQ(rhos.size(), 3u);
+  EXPECT_DOUBLE_EQ(rhos[0], 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(rhos[1], 2.0 / 4.0);
+  EXPECT_DOUBLE_EQ(rhos[2], 2.0 / 5.0);
+}
+
+TEST(MatrixCell, PathloadReducersOnEmptyCellAreSafe) {
+  const MatrixCell cell;
+  EXPECT_EQ(cell.coverage(Rate::zero()), 0.0);
+  EXPECT_EQ(cell.mean_fleets(), 0.0);
+  EXPECT_EQ(cell.mean_elapsed(), Duration::zero());
+  EXPECT_EQ(cell.cv_low(), 0.0);
+  EXPECT_EQ(cell.cv_high(), 0.0);
+  EXPECT_TRUE(cell.relative_variations().empty());
 }
 
 TEST(RunMatrix, AggregatesReduceTheReports) {

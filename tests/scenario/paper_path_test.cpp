@@ -108,30 +108,5 @@ TEST(Testbed, SeedsGiveReproducibleTraffic) {
   EXPECT_NE(run(7), run(8));
 }
 
-TEST(RepeatedRuns, StatisticsAggregateCorrectly) {
-  RepeatedRuns rr;
-  for (double low : {2.0, 3.0, 4.0}) {
-    core::PathloadResult r;
-    r.range = {Rate::mbps(low), Rate::mbps(low + 2.0)};
-    r.fleets = 5;
-    r.elapsed = Duration::seconds(10);
-    rr.results.push_back(r);
-  }
-  EXPECT_EQ(rr.mean_low(), Rate::mbps(3.0));
-  EXPECT_EQ(rr.mean_high(), Rate::mbps(5.0));
-  EXPECT_DOUBLE_EQ(rr.mean_fleets(), 5.0);
-  EXPECT_EQ(rr.mean_elapsed(), Duration::seconds(10));
-  // truth = 4.2: contained in [3,5] and [4,6] but not [2,4].
-  EXPECT_NEAR(rr.coverage(Rate::mbps(4.2)), 2.0 / 3.0, 1e-12);
-  EXPECT_EQ(rr.relative_variations().size(), 3u);
-}
-
-TEST(RepeatedRuns, EmptyIsSafe) {
-  RepeatedRuns rr;
-  EXPECT_EQ(rr.coverage(Rate::mbps(1)), 0.0);
-  EXPECT_EQ(rr.mean_fleets(), 0.0);
-  EXPECT_EQ(rr.mean_elapsed(), Duration::zero());
-}
-
 }  // namespace
 }  // namespace pathload::scenario

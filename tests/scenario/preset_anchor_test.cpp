@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "core/session.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
 
@@ -105,14 +106,14 @@ constexpr VerdictAnchor kVerdictAnchors[] = {
 };
 
 TEST(PaperPresetAnchors, PathloadVerdictIsBitIdentical) {
-  const core::PathloadConfig tool;
   for (const VerdictAnchor& a : kVerdictAnchors) {
     SCOPED_TRACE(std::string{a.spec} + " seed " + std::to_string(a.seed));
-    const auto res = run_scenario_once(anchor_spec(a.spec), tool, a.seed);
-    EXPECT_EQ(res.range.low.bits_per_sec(), a.low_bps);
-    EXPECT_EQ(res.range.high.bits_per_sec(), a.high_bps);
+    core::PathloadSession pathload;
+    const auto res = run_estimator_once(anchor_spec(a.spec), pathload, a.seed);
+    EXPECT_EQ(res.low.bits_per_sec(), a.low_bps);
+    EXPECT_EQ(res.high.bits_per_sec(), a.high_bps);
     EXPECT_EQ(res.elapsed.nanos(), a.elapsed_ns);
-    EXPECT_EQ(res.fleets, a.fleets);
+    EXPECT_EQ(static_cast<int>(res.iterations.size()), a.fleets);
   }
 }
 

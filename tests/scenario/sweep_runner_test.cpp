@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "core/session.hpp"
+#include "scenario/experiment.hpp"
 #include "scenario/sweep_runner.hpp"
 
 namespace pathload::scenario {
@@ -45,28 +48,24 @@ TEST(SweepRunner, PathloadSweepIsThreadCountInvariant) {
   path.hops = 1;
   path.tight_capacity = Rate::mbps(10);
   path.tight_utilization = 0.5;
-  core::PathloadConfig tool;
+  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", path);
+  spec.warmup = Duration::milliseconds(200);
+  const MatrixEstimator pathload{
+      "pathload", [] { return std::make_unique<core::PathloadSession>(); }};
 
   SweepRunner serial{1};
   SweepRunner pooled{4};
-  ScenarioSpec spec = ScenarioSpec::from_paper("paper", "", path);
-  spec.warmup = Duration::milliseconds(200);
-  const auto a = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, serial);
-  const auto b = sweep_scenario_repeated(spec, tool, 4, /*seed0=*/71, pooled);
-  // And against the sequential reference implementation.
-  const auto c = run_scenario_repeated(spec, tool, 4, /*seed0=*/71);
+  const auto a = run_matrix({pathload}, {spec}, {}, 4, /*seed0=*/71, serial);
+  const auto b = run_matrix({pathload}, {spec}, {}, 4, /*seed0=*/71, pooled);
 
-  ASSERT_EQ(a.results.size(), b.results.size());
-  ASSERT_EQ(a.results.size(), c.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].range.low.bits_per_sec(), b.results[i].range.low.bits_per_sec());
-    EXPECT_EQ(a.results[i].range.high.bits_per_sec(),
-              b.results[i].range.high.bits_per_sec());
-    EXPECT_EQ(a.results[i].range.low.bits_per_sec(), c.results[i].range.low.bits_per_sec());
-    EXPECT_EQ(a.results[i].range.high.bits_per_sec(),
-              c.results[i].range.high.bits_per_sec());
-    EXPECT_EQ(a.results[i].elapsed.nanos(), b.results[i].elapsed.nanos());
-    EXPECT_EQ(a.results[i].elapsed.nanos(), c.results[i].elapsed.nanos());
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  ASSERT_EQ(a[0].reports.size(), 4u);
+  ASSERT_EQ(b[0].reports.size(), 4u);
+  for (std::size_t i = 0; i < a[0].reports.size(); ++i) {
+    EXPECT_EQ(a[0].reports[i].low.bits_per_sec(), b[0].reports[i].low.bits_per_sec());
+    EXPECT_EQ(a[0].reports[i].high.bits_per_sec(), b[0].reports[i].high.bits_per_sec());
+    EXPECT_EQ(a[0].reports[i].elapsed.nanos(), b[0].reports[i].elapsed.nanos());
   }
 }
 
